@@ -140,13 +140,13 @@ _VERTEX_RE = re.compile(
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse the line-oriented PGSolver-style format.
 
-    Grammar: a header ``parity <max-vertex-id>;`` followed by one line per
-    vertex, ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with
+    Grammar: a header ``parity <max-vertex-id>;``, which must equal the
+    largest vertex id, followed by one line per vertex, ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with
     owner 0 = Eve and 1 = Adam.  Whitespace-tolerant.  The priority bound d
     is the maximum priority rounded up to the nearest even number (>= 2).
     """
     lines = text.splitlines()
-    header_seen = False
+    header: tuple[int, int] | None = None  # (line, declared max id)
     records: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -155,11 +155,11 @@ def parse_pgsolver(text: str) -> ParityGame:
         if not line.endswith(";"):
             raise PGParseError(lineno, "missing terminating ';'")
         body = line[:-1].strip()
-        if not header_seen:
+        if header is None:
             m = re.match(r"^parity\s+(\d+)$", body)
             if m is None:
                 raise PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}")
-            header_seen = True
+            header = (lineno, int(m.group(1)))
             continue
         m = _VERTEX_RE.match(body)
         if m is None:
@@ -172,7 +172,7 @@ def parse_pgsolver(text: str) -> ParityGame:
         if vid in records:
             raise PGParseError(lineno, f"duplicate vertex id {vid}")
         records[vid] = (prio, owner, succs, name)
-    if not header_seen:
+    if header is None:
         raise PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
     if not records:
         raise PGParseError(len(lines) or 1, "no vertex lines after header")
@@ -180,6 +180,9 @@ def parse_pgsolver(text: str) -> ParityGame:
     for vid in records:
         if not 0 <= vid < n:
             raise PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {vid})")
+    if header[1] != n - 1:
+        raise PGParseError(
+            header[0], f"header declares max id {header[1]}, but the vertices are 0..{n - 1}")
     for lineno, raw in enumerate(lines, start=1):
         # second pass only to anchor dangling-successor diagnostics to a line
         line = raw.strip()

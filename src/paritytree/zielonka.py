@@ -1,10 +1,20 @@
-"""Zielonka's recursive algorithm, formulated as alternating greatest and
-least fixed points over subgames with terminal Win/Lose colors, plus
-extraction of classical signatures from the least-fixed-point stages.
+"""Zielonka's recursive algorithm in its McNaughton--Zielonka form, over
+counter-based attractors, plus extraction of classical signatures.
 
-Subgames never copy the arena: they are masks (active set + terminal
-colors + priority cap) over one base game, so vertex ids stay stable
-throughout the recursion.
+A subgame is a vertex set of one base game in which every vertex keeps a
+successor, so vertex ids stay stable throughout the recursion.  On a
+subgame V with top priority p, the player who likes p attracts to the
+priority-p vertices; the rest is solved recursively.  If the opponent wins
+nothing there, the player wins all of V; otherwise the opponent's part is
+attracted to and removed, and the loop goes on with what is left.  Each
+attractor is O(m): ``ParityGame.predecessors`` is built once per solve and
+every opponent vertex counts its successors still outside the attractor.
+Eve's positional strategy comes from the same pass: attractor witnesses,
+any successor inside V at her top-priority vertices, and the sub-results.
+
+The least-fixed-point stage sequence survives only in signature
+extraction (``signature_stages``): its inner solves of subgames with
+terminal Win/Lose vertices are the recursion above.
 """
 
 from __future__ import annotations
@@ -12,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
+from .universal_tree import TOP
+
+Vertices = frozenset[int] | set[int]
 
 LESS = -1
 EQUAL = 0
 GREATER = 1
-
-TOP = "TOP"  # signature value for vertices Eve loses
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,7 @@ def tuple_compare(x: SignatureTuple, y: SignatureTuple, p: int, d: int) -> int:
     return LESS if a < b else GREATER if a > b else EQUAL
 
 
-def pre(sg: SubGame, U: frozenset[int] | set[int]) -> frozenset[int]:
+def pre(sg: SubGame, U: Vertices) -> frozenset[int]:
     """Active vertices from which Eve can force entering U in one step:
     her vertices need some successor in U, Adam's need all of them there."""
     g = sg.base
@@ -67,138 +78,121 @@ def pre(sg: SubGame, U: frozenset[int] | set[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _first_succ_in(g: ParityGame, v: int, target) -> int:
-    for w in g.successors[v]:
-        if w in target:
-            return w
-    raise AssertionError(f"vertex {v} has no successor in the target set")
+def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Vertices,
+              player: int, moves: Vertices | None = None,
+              sigma: dict[int, int] | None = None) -> set[int]:
+    """``target`` plus the vertices of ``arena`` from which ``player`` forces
+    a visit to it.  A vertex of the opponent joins once all its successors
+    in ``moves`` (every successor when None) have joined.  When ``player``
+    is Eve and ``sigma`` is given, each of her vertices that joins records
+    the successor it joined through."""
+    owner, succs = g.owner, g.successors
+    attr = set(target)
+    queue = list(attr)
+    left: dict[int, int] = {}  # opponent vertex -> successors not yet attracted
+    for w in queue:
+        for v in preds[w]:
+            if v in attr or v not in arena:
+                continue
+            if owner[v] != player:
+                k = left.get(v)
+                if k is None:
+                    k = len(set(succs[v]) if moves is None else moves.intersection(succs[v]))
+                if k > 1:
+                    left[v] = k - 1
+                    continue
+            elif sigma is not None and player == EVE:
+                sigma[v] = w
+            attr.add(v)
+            queue.append(v)
+    return attr
 
 
-def _reach_safe(sg: SubGame) -> tuple[frozenset[int], dict[int, int]]:
-    """Attractor to the Win terminals plus the Eve choices realizing it."""
-    g = sg.base
-    u: frozenset[int] = sg.terminal_win
-    sigma: dict[int, int] = {}
-    while True:
-        added = pre(sg, u) - u
-        if not added:
-            return frozenset(u & sg.active), sigma
-        for v in added:
-            if g.owner[v] == EVE:
-                sigma[v] = _first_succ_in(g, v, u)
-        u = u | added
+def _solve(g: ParityGame, preds: list[list[int]], V: Vertices,
+           sigma: dict[int, int] | None) -> set[int]:
+    """Eve's winning vertices of the subgame V.  With ``sigma``, her
+    strategy is written there: the last entry written for each of her
+    winning vertices is a winning move, other entries are stale."""
+    priority = g.priority
+    won: set[int] = set()
+    while V:
+        p = max(priority[v] for v in V)
+        player = EVE if p % 2 == 0 else ADAM
+        top = {v for v in V if priority[v] == p}
+        attracted = attractor(g, preds, V, top, player, V, sigma)
+        rest = V - attracted
+        rest_eve = _solve(g, preds, rest, sigma)
+        lost = rest - rest_eve if player == EVE else rest_eve
+        if not lost:
+            if player == EVE:
+                if sigma is not None:
+                    for v in top:
+                        if g.owner[v] == EVE:
+                            sigma[v] = next(w for w in g.successors[v] if w in V)
+                won |= V
+            return won
+        taken = attractor(g, preds, V, lost, 1 - player, V, sigma)
+        if player == ADAM:
+            won |= taken
+        V = V - taken
+    return won
 
 
-def solve_reach_safe(sg: SubGame) -> frozenset[int]:
-    """Attractor base case: least fixed point of U -> terminal_win | pre(U),
-    i.e. the active vertices from which Eve forces reaching a Win terminal
-    without touching a Lose terminal."""
-    return _reach_safe(sg)[0]
+def _solve_terminals(g: ParityGame, preds: list[list[int]], active: frozenset[int],
+                     win: frozenset[int], lose: frozenset[int]) -> frozenset[int]:
+    """Eve's winning vertices of ``active`` when a play stops with her win
+    at ``win`` and her loss at ``lose``.  What neither player can force to
+    a terminal is a subgame that either player leaves only to lose."""
+    reach = attractor(g, preds, active, win, EVE)
+    trapped = active - reach
+    avoid = attractor(g, preds, trapped, lose, ADAM)
+    return frozenset((reach - win) | _solve(g, preds, trapped - avoid, None))
 
 
-def _solve(sg: SubGame) -> tuple[frozenset[int], dict[int, int]]:
-    """Winning active vertices plus a positional Eve strategy on them."""
-    if not sg.active:
-        return frozenset(), {}
-    p = sg.priority_cap
-    g = sg.base
-    if p == 1 and all(g.priority[v] == 1 for v in sg.active):
-        return _reach_safe(sg)
-    if p % 2 == 0:
-        return _solve_even(sg)
-    return _solve_odd(sg)
-
-
-def _solve_even(sg: SubGame) -> tuple[frozenset[int], dict[int, int]]:
-    g = sg.base
-    p = sg.priority_cap
+def signature_stages(sg: SubGame) -> list[frozenset[int]]:
+    """Stages X_1 <= X_2 <= ... of the least fixed point at the odd cap p,
+    from X_0 = {}: X_{k+1} = Win | (pre(X_k) & V_p) | W_k, where W_k is
+    Eve's part of the priority-<p vertices once pre(X_k) & V_p joins the
+    Win terminals and the rest of V_p the Lose terminals.  The sequence
+    ends with the repeated fixed point; Win terminals are in every stage."""
+    g, p = sg.base, sg.priority_cap
+    preds = g.predecessors()
     vp = frozenset(v for v in sg.active if g.priority[v] == p)
     rest = sg.active - vp
-    y = sg.active | sg.terminal_win
-    while True:
-        win_k = pre(sg, y) & vp
-        lose_k = vp - win_k
-        lower, lower_sigma = _solve(SubGame(
-            g, rest, sg.terminal_win | win_k, sg.terminal_lose | lose_k, p - 1))
-        y_new = sg.terminal_win | win_k | lower
-        if y_new == y:
-            # p is even: any successor inside the final winning set will do
-            sigma = dict(lower_sigma)
-            for v in win_k:
-                if g.owner[v] == EVE:
-                    sigma[v] = _first_succ_in(g, v, y)
-            return frozenset(y - sg.terminal_win), sigma
-        y = y_new
-
-
-def _solve_odd(
-    sg: SubGame, stages: list[frozenset[int]] | None = None
-) -> tuple[frozenset[int], dict[int, int]]:
-    g = sg.base
-    p = sg.priority_cap
-    vp = frozenset(v for v in sg.active if g.priority[v] == p)
-    rest = sg.active - vp
+    stages: list[frozenset[int]] = []
     x: frozenset[int] = frozenset()
-    # p is odd: every vertex keeps the choice from the stage it first
-    # entered -- priority-p vertices step back into the previous stage and
-    # lower vertices use the sub-strategy of their entry iteration -- so
-    # the stage index never increases along a play and strictly decreases
-    # at each visit to p, making p occur only finitely often
-    sigma: dict[int, int] = {}
     while True:
         win_k = pre(sg, x) & vp
-        for v in win_k:
-            if g.owner[v] == EVE and v not in sigma:
-                sigma[v] = _first_succ_in(g, v, x)
-        lose_k = vp - win_k
-        lower, lower_sigma = _solve(SubGame(
-            g, rest, sg.terminal_win | win_k, sg.terminal_lose | lose_k, p - 1))
-        for v, w in lower_sigma.items():
-            sigma.setdefault(v, w)
+        lower = _solve_terminals(
+            g, preds, rest, sg.terminal_win | win_k, sg.terminal_lose | (vp - win_k))
         x_new = sg.terminal_win | win_k | lower
-        if stages is not None:
-            stages.append(x_new)
+        stages.append(x_new)
         if x_new == x:
-            winners = frozenset(x - sg.terminal_win)
-            return winners, {v: w for v, w in sigma.items() if v in winners}
+            return stages
         x = x_new
 
 
-def solve_even(sg: SubGame) -> frozenset[int]:
-    """Greatest fixed point (the priority cap p is even): iterate downward
-    from everything-possibly-winning; at each stage the priority-p vertices
-    become terminal (Win if in pre(Y), Lose otherwise) and the rest is
-    solved recursively with cap p-1."""
-    return _solve_even(sg)[0]
+def _eve_region(g: ParityGame, sigma: dict[int, int] | None = None) -> frozenset[int]:
+    require_valid(g)
+    return frozenset(_solve(g, g.predecessors(), set(g.vertices()), sigma))
 
 
-def solve_odd(sg: SubGame, stages: list[frozenset[int]] | None = None) -> frozenset[int]:
-    """Least fixed point (the priority cap p is odd), iterating upward from
-    the empty seed.  When ``stages`` is given, the non-decreasing stage
-    sequence X_0 <= X_1 <= ... (terminal Win vertices included) is appended
-    to it; signature extraction reads component values off these stages."""
-    return _solve_odd(sg, stages)[0]
-
-
-def _solve_full(g: ParityGame) -> tuple[Region, dict[int, int]]:
-    all_verts = frozenset(g.vertices())
-    sg = SubGame(g, all_verts, frozenset(), frozenset(), max(g.priority))
-    eve, sigma = _solve(sg)
-    return Region(eve, all_verts - eve), sigma
+def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]:
+    sigma: dict[int, int] = {}
+    eve = _eve_region(g, sigma)
+    return eve, {v: sigma[v] for v in sorted(eve) if g.owner[v] == EVE}
 
 
 def solve_zielonka(g: ParityGame) -> Region:
-    """Winning regions via the recursive algorithm (d-1 alternating fixed
-    points, dispatched on the parity of the top priority present)."""
-    require_valid(g)
-    return _solve_full(g)[0]
+    """Winning regions via the attractor recursion."""
+    eve = _eve_region(g)
+    return Region(eve, frozenset(g.vertices()) - eve)
 
 
 def eve_winning_strategy(g: ParityGame) -> dict[int, int]:
     """Positional strategy for Eve, defined exactly on the Eve-owned
     vertices of her winning region, assembled from the recursion."""
-    require_valid(g)
-    return _solve_full(g)[1]
+    return _region_and_strategy(g)[1]
 
 
 def _restrict_to_strategy(g: ParityGame, sigma: dict[int, int]) -> ParityGame:
@@ -220,26 +214,22 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
     restricted to priorities strictly above p; component p of mu(v) is the
     first stage index containing v.  Vertices in Adam's region map to TOP.
     """
-    require_valid(g)
-    region, sigma = _solve_full(g)
-    eve, adam = region.eve_wins, region.adam_wins
+    eve, sigma = _region_and_strategy(g)
+    adam = frozenset(g.vertices()) - eve
     gs = _restrict_to_strategy(g, sigma)
-    h = g.d // 2
-    comp = {v: [0] * h for v in eve}
+    comp = {v: [0] * (g.d // 2) for v in eve}
     for i, p in enumerate(range(g.d - 1, 0, -2)):
         active = frozenset(v for v in g.vertices() if g.priority[v] <= p)
         win = frozenset(v for v in eve if g.priority[v] > p)
         lose = frozenset(v for v in adam if g.priority[v] > p)
-        stages: list[frozenset[int]] = []
-        _solve_odd(SubGame(gs, active, win, lose, p), stages=stages)
-        for v in eve:
-            for k, stage in enumerate(stages):
-                if v in stage:
-                    comp[v][i] = k
-                    break
-            else:
-                raise AssertionError(
-                    f"vertex {v} won by Eve but missing from all stages at p={p}")
+        seen: frozenset[int] = frozenset()
+        for k, stage in enumerate(signature_stages(SubGame(gs, active, win, lose, p))):
+            for v in stage - seen:
+                comp[v][i] = k
+            seen |= stage
+        if not eve <= seen:
+            raise AssertionError(
+                f"vertices {sorted(eve - seen)} won by Eve but missing from all stages at p={p}")
     mu: dict[int, SignatureTuple | str] = {v: TOP for v in adam}
     for v in eve:
         mu[v] = SignatureTuple(tuple(comp[v]))

@@ -63,6 +63,17 @@ class TestSolve:
         assert "cross-check: agreement" in out
         assert "zielonka" in out and "brute" in out
 
+    def test_cross_check_skips_oversized_naive_tree(self, tmp_path, capsys):
+        path = tmp_path / "g40.pg"
+        assert main(["gen", "--n", "40", "--d", "8", "--seed", "3",
+                     "-o", str(path)]) == EXIT_OK
+        assert main(["solve", "-i", str(path), "--cross-check"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "cross-check: agreement" in captured.out
+        assert "vi-naive" not in captured.out
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("note: skipped vi-naive:")
+
     def test_file_tree(self, game_file, tmp_path, capsys):
         tree_file = tmp_path / "tree.txt"
         tree_file.write_text("0\n1\n")  # two leaves at height 1

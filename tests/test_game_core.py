@@ -110,6 +110,12 @@ class TestParse:
         assert exc.value.line == 2
         assert "undeclared" in str(exc.value)
 
+    def test_header_must_match_vertex_count(self):
+        with pytest.raises(PGParseError) as exc:
+            parse_pgsolver("\nparity 2;\n0 0 0 1;\n1 1 1 0;\n")
+        assert exc.value.line == 2
+        assert "max id 2" in str(exc.value)
+
     def test_empty_input(self):
         with pytest.raises(PGParseError):
             parse_pgsolver("")

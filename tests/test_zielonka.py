@@ -1,6 +1,12 @@
 import pytest
 
-from paritytree.game_core import ADAM, EVE, ParityGame, generate_random_game
+from paritytree.game_core import (
+    ADAM,
+    EVE,
+    ParityGame,
+    even_priority_bound,
+    generate_random_game,
+)
 from paritytree.oracle import solve_bruteforce
 from paritytree.universal_tree import signature_to_tree
 from paritytree.progress_measure import validate_signature
@@ -11,11 +17,11 @@ from paritytree.zielonka import (
     TOP,
     SignatureTuple,
     SubGame,
+    attractor,
     eve_winning_strategy,
     extract_signature,
     pre,
-    solve_odd,
-    solve_reach_safe,
+    signature_stages,
     solve_zielonka,
     tuple_compare,
 )
@@ -24,6 +30,47 @@ from paritytree.zielonka import (
 def make(d, owner, priority, successors):
     return ParityGame(d, tuple(owner), tuple(priority),
                       tuple(tuple(s) for s in successors))
+
+
+def dual(g):
+    """Owners swapped and every priority raised by one: Eve wins the dual
+    exactly where Adam wins ``g``."""
+    priority = tuple(p + 1 for p in g.priority)
+    return ParityGame(even_priority_bound(max(priority)),
+                      tuple(1 - o for o in g.owner), priority, g.successors)
+
+
+def strategy_defect(g, region, sigma):
+    """Why ``sigma`` does not win for Eve from every vertex of ``region``,
+    or None.  Polynomial: Adam may not leave the region, sigma must stay in
+    it, and in the one-player game sigma induces there no vertex of odd
+    priority p may lie on a cycle of priorities <= p, that is, in a
+    nontrivial SCC of the priority-<=p subgraph."""
+    moves = {}
+    for v in region:
+        if g.owner[v] == EVE:
+            if sigma.get(v) not in g.successors[v] or sigma[v] not in region:
+                return f"sigma at {v} is {sigma.get(v)}, not a move into the region"
+            moves[v] = (sigma[v],)
+        elif not set(g.successors[v]) <= region:
+            return f"Adam leaves the region at {v}"
+        else:
+            moves[v] = g.successors[v]
+    for u in region:
+        p = g.priority[u]
+        if p % 2 == 0:
+            continue
+        stack = [w for w in moves[u] if g.priority[w] <= p]
+        seen = set(stack)
+        while stack:
+            w = stack.pop()
+            if w == u:
+                return f"cycle through {u} with top priority {p}"
+            for x in moves[w]:
+                if g.priority[x] <= p and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    return None
 
 
 class TestTupleCompare:
@@ -78,13 +125,23 @@ class TestReachSafe:
     def test_attractor(self):
         # 0 -> 1 -> terminal win 2; Adam at 1 cannot deviate
         g = make(2, [EVE, ADAM, EVE], [1, 1, 0], [(1,), (2,), (2,)])
-        sg = SubGame(g, frozenset({0, 1}), frozenset({2}), frozenset(), 1)
-        assert solve_reach_safe(sg) == frozenset({0, 1})
+        sigma = {}
+        attr = attractor(g, g.predecessors(), {0, 1}, {2}, EVE, sigma=sigma)
+        assert attr == {0, 1, 2}
+        assert sigma == {0: 1}
 
     def test_adam_avoids(self):
         g = make(2, [EVE, ADAM, EVE], [1, 1, 0], [(1,), (0, 2), (2,)])
-        sg = SubGame(g, frozenset({0, 1}), frozenset({2}), frozenset(), 1)
-        assert solve_reach_safe(sg) == frozenset()
+        assert attractor(g, g.predecessors(), {0, 1}, {2}, EVE) == {2}
+
+    def test_moves_outside_the_subgame_do_not_count(self):
+        # Adam's escape 1 -> 0 leaves the subgame {1, 2}, so it is no move
+        g = make(2, [EVE, ADAM, EVE], [1, 1, 0], [(1,), (0, 2), (2,)])
+        assert attractor(g, g.predecessors(), {1, 2}, {2}, EVE, {1, 2}) == {1, 2}
+
+    def test_duplicate_successors_count_once(self):
+        g = make(2, [ADAM, EVE], [1, 0], [(1, 1), (1,)])
+        assert attractor(g, g.predecessors(), {0, 1}, {1}, EVE) == {0, 1}
 
 
 class TestSolve:
@@ -119,8 +176,8 @@ class TestStages:
             if p > g.d:
                 p -= 2
             active = frozenset(v for v in g.vertices() if g.priority[v] <= p)
-            stages = []
-            solve_odd(SubGame(g, active, frozenset(), frozenset(), p), stages=stages)
+            stages = signature_stages(SubGame(g, active, frozenset(), frozenset(), p))
+            assert stages[-1] == (stages[-2] if len(stages) > 1 else frozenset())
             for earlier, later in zip(stages, stages[1:]):
                 assert earlier <= later
 
@@ -136,6 +193,26 @@ class TestStrategy:
             for v, w in sigma.items():
                 assert w in g.successors[v]
                 assert w in region.eve_wins
+
+    def test_strategies_win_on_game_and_dual(self):
+        # Eve's strategy on the dual is Adam's on the game, so the two
+        # checks certify both regions without the oracle
+        for seed in range(320):
+            n = 2 + seed * 7 % 40
+            degree = (1, min(n, 3)) if seed % 2 else (1, 2)
+            g = generate_random_game(n, 2 + 2 * (seed % 4), degree, seed + 30_000)
+            adam = solve_zielonka(g).adam_wins
+            for h in (g, dual(g)):
+                eve = solve_zielonka(h).eve_wins
+                assert strategy_defect(h, eve, eve_winning_strategy(h)) is None, seed
+            assert solve_zielonka(dual(g)).eve_wins == adam, seed
+
+    def test_defect_check_rejects_losing_strategy(self):
+        # Eve at 0 may go to the even self-loop 1 or the odd self-loop 2
+        g = make(2, [EVE, EVE, EVE], [0, 2, 1], [(1, 2), (1,), (2,)])
+        assert strategy_defect(g, {0, 1}, {0: 1, 1: 1}) is None
+        assert "top priority 1" in strategy_defect(g, {0, 2}, {0: 2, 2: 2})
+        assert "not a move" in strategy_defect(g, {0, 1}, {1: 1})
 
 
 class TestExtractSignature:
