@@ -50,6 +50,23 @@ def _read_game(path: str) -> ParityGame:
     return g
 
 
+def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
+    """One leaf code per line, comma-separated child indices, as written by
+    ``tree build --dump``; blank lines are skipped."""
+    codes = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                codes.append(tuple(int(x) for x in line.split(",")))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed leaf code {line!r}, "
+                                 "expected comma-separated integers") from None
+    return codes
+
+
 def _load_tree(spec: str, g: ParityGame):
     """Returns (tree, kind, known_universal)."""
     h = g.d // 2
@@ -59,12 +76,7 @@ def _load_tree(spec: str, g: ParityGame):
         return universal_tree.make_succinct_tree(g.n, h), "succinct", True
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        codes = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    codes.append(tuple(int(x) for x in line.split(",")))
+        codes = _read_leaf_codes(path)
         return universal_tree.tree_from_leaf_codes(codes, h), f"file:{path}", False
     raise ValueError(f"unknown tree spec {spec!r} (use naive, succinct, or file:PATH)")
 
@@ -128,7 +140,7 @@ def cmd_solve(args) -> int:
                     val = mu[v]
                     text = "TOP" if val == universal_tree.TOP else ",".join(map(str, val))
                     print(f"{v}\t{stats.per_vertex[v]}\t{text}")
-    except (ValueError, universal_tree.EnumerationGuardError) as exc:
+    except (OSError, ValueError, universal_tree.EnumerationGuardError) as exc:
         return _fail(str(exc))
     report.elapsed = time.perf_counter() - started
     _print_region(report.region, args.format)
@@ -151,7 +163,10 @@ def _cross_check(g: ParityGame, args) -> int:
         _, region, _ = progress_measure.value_iteration(g, tree)
         results[f"vi-{kind}"] = region
     if args.tree.startswith("file:"):
-        tree, kind, _ = _load_tree(args.tree, g)
+        try:
+            tree, kind, _ = _load_tree(args.tree, g)
+        except (OSError, ValueError) as exc:
+            return _fail(str(exc))
         print("warning: tree loaded from file; universality not guaranteed",
               file=sys.stderr)
         _, region, _ = progress_measure.value_iteration(g, tree)
@@ -200,12 +215,7 @@ def cmd_tree(args) -> int:
             if args.dump:
                 sys.stdout.write(universal_tree.dump_leaf_codes(t))
         elif args.tree_cmd == "check":
-            codes = []
-            with open(args.file) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        codes.append(tuple(int(x) for x in line.split(",")))
+            codes = _read_leaf_codes(args.file)
             t = universal_tree.tree_from_leaf_codes(codes, args.height)
             ok, witness = universal_tree.is_universal(t, args.n, args.height)
             if ok:

@@ -4,7 +4,9 @@ signature validation, strategy extraction, and lift-count statistics.
 
 Measure values are leaf codes of the chosen tree, or TOP.  TOP is strictly
 greater than every leaf in every p-order, and absorbs: once a vertex hits
-TOP it stays there.
+TOP it stays there.  Internally the lift works on leaf ranks 0..|T|-1 with
+TOP = |T|: the least leaf >=_p (or >_p) a value is the start (or end) of
+the value's block at depth level(p), read from universal_tree.block_bounds.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from .universal_tree import (
     LeafCode,
     LevelMap,
     OrderedTree,
+    block_bounds,
+    bound_slot,
+    code_to_rank,
     compare_leaves_at,
     leaf_count,
     min_leaf_geq,
+    rank_to_code,
 )
 
 MeasureValue = LeafCode | str  # a leaf code or TOP
@@ -39,10 +45,6 @@ def value_leq(a: MeasureValue, b: MeasureValue) -> bool:
     return a <= b
 
 
-def _value_max(a: MeasureValue, b: MeasureValue) -> MeasureValue:
-    return b if value_leq(a, b) else a
-
-
 @dataclass
 class LiftStats:
     """Bookkeeping for one value-iteration run.  ``total`` counts lifts
@@ -54,22 +56,21 @@ class LiftStats:
 
 
 class LiftTable:
-    """Caches min_leaf_geq answers for one (tree, d) pair; strictness is
-    implied by the parity of p.  Sharing a table across many solves over
-    the same tree makes sweeps cheap."""
+    """The rank view of one (tree, d) pair: |T|, per priority the slot of
+    universal_tree.block_bounds that the lift reads, and the bounds of the
+    smallest leaf and of TOP (rank |T|), which most runs reach.  It holds
+    no state that grows, so sharing one across solves is safe."""
 
     def __init__(self, tree: OrderedTree, d: int):
         self.tree = tree
         self.lm = LevelMap(d)
-        self._cache: dict[tuple[MeasureValue, int], MeasureValue] = {}
+        self.slot = [bound_slot(tree.height, p, p % 2 == 1, self.lm) for p in range(d + 1)]
+        self.size = leaf_count(tree)
+        self.extremes = {0: block_bounds(tree, 0), self.size: block_bounds(tree, self.size)}
 
     def min_geq(self, target: MeasureValue, p: int) -> MeasureValue:
-        key = (target, p)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = min_leaf_geq(self.tree, target, p, strict=p % 2 == 1, lm=self.lm)
-            self._cache[key] = hit
-        return hit
+        """Least leaf >=_p the target, strictly when p is odd."""
+        return min_leaf_geq(self.tree, target, p, strict=p % 2 == 1, lm=self.lm)
 
 
 def lift_value(
@@ -92,18 +93,10 @@ def lift_value(
     """
     if table is None:
         table = LiftTable(tree, g.d)
-    p = g.priority[v]
-    best: MeasureValue | None = None
-    for w in g.successors[v]:
-        cand = table.min_geq(mu[w], p)
-        if best is None:
-            best = cand
-        elif g.owner[v] == EVE:
-            best = cand if value_leq(cand, best) else best
-        else:
-            best = _value_max(best, cand)
-    assert best is not None  # no dead ends in valid games
-    return _value_max(mu[v], best)
+    tree, at = table.tree, table.slot[g.priority[v]]
+    options = [block_bounds(tree, code_to_rank(tree, mu[w]))[at] for w in g.successors[v]]
+    best = min(options) if g.owner[v] == EVE else max(options)
+    return rank_to_code(tree, max(code_to_rank(tree, mu[v]), best))
 
 
 def validate_signature(
@@ -161,25 +154,50 @@ def value_iteration(
     Policies: "fifo" (worklist, predecessors re-enqueued on change),
     "roundrobin" (cyclic passes), "random" (seeded choice among pending
     vertices).  All policies reach the same fixed point.
+
+    The loop runs on leaf ranks and returns leaf codes.  Each vertex holds
+    the block bounds of its value, so a successor's option is one lookup;
+    bounds are computed once per distinct rank reached in this call.
     """
     require_valid(g)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     if table is None:
         table = LiftTable(tree, g.d)
+    tree = table.tree
+    if not table.size:
+        raise ValueError("the tree has no leaves")
     n = g.n
-    l_min = (0,) * tree.height
-    mu: list[MeasureValue] = list(initial) if initial is not None else [l_min] * n
-    stats = LiftStats(per_vertex=[0] * n)
+    mu = [code_to_rank(tree, c) for c in initial] if initial is not None else [0] * n
+    bounds_of = dict(table.extremes)  # block bounds of each rank reached in this call
+    for rank in set(mu).difference(bounds_of):
+        bounds_of[rank] = block_bounds(tree, rank)
+    held = list(map(bounds_of.__getitem__, mu))
+    slot = list(map(table.slot.__getitem__, g.priority))
+    owner, successors = g.owner, g.successors
+    per_vertex = [0] * n
     started = time.perf_counter()
     preds = g.predecessors()
 
     def apply(v: int) -> bool:
-        new = lift_value(g, tree, mu, v, table)
-        if new != mu[v]:
-            mu[v] = new
-            stats.total += 1
-            stats.per_vertex[v] += 1
+        at = slot[v]
+        ws = successors[v]
+        best = held[ws[0]][at]
+        if owner[v] == EVE:
+            for w in ws:
+                if held[w][at] < best:
+                    best = held[w][at]
+        else:
+            for w in ws:
+                if held[w][at] > best:
+                    best = held[w][at]
+        if best > mu[v]:
+            mu[v] = best
+            found = bounds_of.get(best)
+            if found is None:
+                found = bounds_of[best] = block_bounds(tree, best)
+            held[v] = found
+            per_vertex[v] += 1
             return True
         return False
 
@@ -191,25 +209,33 @@ def value_iteration(
                 if apply(v):
                     changed = True
     else:
-        pending = set(range(n))
-        queue = deque(range(n))
-        rng = random.Random(seed) if policy == "random" else None
-        while pending:
-            if rng is None:
-                v = queue.popleft()
-                if v not in pending:
-                    continue
-            else:
-                v = rng.choice(sorted(pending))
-            pending.discard(v)
+        # worklist of pending vertices; random picks swap the chosen one to
+        # the end and pop it
+        if policy == "fifo":
+            work = deque(range(n))
+            take = work.popleft
+        else:
+            rng = random.Random(seed)
+            work = list(range(n))
+
+            def take() -> int:
+                i = rng.randrange(len(work))
+                work[i], work[-1] = work[-1], work[i]
+                return work.pop()
+
+        queued = [True] * n
+        while work:
+            v = take()
+            queued[v] = False
             if apply(v):
                 for u in preds[v]:
-                    if u not in pending:
-                        pending.add(u)
-                        queue.append(u)
-    stats.duration = time.perf_counter() - started
-    region = winning_region_from_measure(mu)
-    return mu, region, stats
+                    if not queued[u]:
+                        queued[u] = True
+                        work.append(u)
+    stats = LiftStats(sum(per_vertex), per_vertex, time.perf_counter() - started)
+    code_of = {rank: rank_to_code(tree, rank) for rank in set(mu)}
+    codes = list(map(code_of.__getitem__, mu))
+    return codes, winning_region_from_measure(codes), stats
 
 
 def winning_region_from_measure(mu: list[MeasureValue]) -> Region:
@@ -241,8 +267,3 @@ def strategy_from_measure(
         else:
             raise ValueError(f"measure does not validate at vertex {v}")
     return choice
-
-
-def tree_size(tree: OrderedTree) -> int:
-    """Number of leaves; the |T| of the lift budget n * |T|."""
-    return leaf_count(tree)

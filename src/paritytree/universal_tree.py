@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bounds import g_recurrence
 
@@ -51,6 +52,15 @@ class OrderedTree:
     def is_empty(self) -> bool:
         return self.height > 0 and not self.children
 
+    @cached_property
+    def cumulative(self) -> tuple[int, ...]:
+        """Running leaf counts of the children in rank order (rightmost
+        child first, as in leaf codes): child i holds ranks
+        ``cumulative[i]`` to ``cumulative[i + 1] - 1`` of this subtree.
+        Computed once per node object, which shared subtrees reuse; it is
+        not a field, so equality and hashing ignore it."""
+        return tuple(itertools.accumulate(map(leaf_count, reversed(self.children)), initial=0))
+
 
 LEAF = OrderedTree(0)
 
@@ -68,9 +78,8 @@ def validate_tree(t: OrderedTree) -> None:
 
 
 def leaf_count(t: OrderedTree) -> int:
-    if t.height == 0:
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    """Number of leaves, |T|; O(distinct nodes) once, then O(1)."""
+    return 1 if t.height == 0 else t.cumulative[-1]
 
 
 def node_at(t: OrderedTree, path: LeafCode) -> OrderedTree | None:
@@ -151,10 +160,70 @@ def _succinct_children(n: int, h: int) -> tuple[OrderedTree, ...]:
     return left + (middle,) + right
 
 
-def _checked_code(t: OrderedTree, code: LeafCode) -> None:
-    node = node_at(t, code)
-    if node is None or node.height != 0:
-        raise ValueError(f"invalid leaf code {code} for this tree")
+def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:
+    """Position of a leaf in the leaf order (0 is the rightmost leaf);
+    TOP maps to leaf_count(t).  Raises ValueError for a code that is not
+    a leaf of t."""
+    if code == TOP:
+        return leaf_count(t)
+    node, rank = t, 0
+    for idx in code:
+        deg = len(node.children)
+        if not 0 <= idx < deg:
+            break
+        rank += node.cumulative[idx]
+        node = node.children[deg - 1 - idx]
+    else:
+        if node.height == 0:
+            return rank
+    raise ValueError(f"invalid leaf code {code} for this tree")
+
+
+def rank_to_code(t: OrderedTree, rank: int) -> LeafCode | str:
+    """Inverse of code_to_rank: the leaf code at a rank, or TOP for
+    rank leaf_count(t)."""
+    if rank == leaf_count(t):
+        return TOP
+    if not 0 <= rank < leaf_count(t):
+        raise ValueError(f"rank {rank} outside [0, {leaf_count(t)}]")
+    node, code = t, []
+    for _ in range(t.height):
+        idx = bisect_right(node.cumulative, rank) - 1
+        rank -= node.cumulative[idx]
+        code.append(idx)
+        node = node.children[-1 - idx]
+    return tuple(code)
+
+
+def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
+    """Blocks holding a leaf at every depth: ``(s_0, ..., s_h, e_0, ...,
+    e_h)``, where the leaves sharing the first k code entries with it are
+    ranks s_k to e_k - 1.  TOP (rank leaf_count(t)) gets leaf_count(t)
+    everywhere, so it stays above every leaf."""
+    size, h = leaf_count(t), t.height
+    if rank == size:
+        return (size,) * (2 * h + 2)
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} outside [0, {size}]")
+    starts, ends = [0], [size]
+    node, base = t, 0
+    for _ in range(h):
+        cum = node.cumulative
+        idx = bisect_right(cum, rank - base) - 1
+        ends.append(base + cum[idx + 1])
+        base += cum[idx]
+        starts.append(base)
+        node = node.children[-1 - idx]
+    return (*starts, *ends)
+
+
+def bound_slot(h: int, p: int, strict: bool, lm: LevelMap) -> int:
+    """Index into block_bounds of the least leaf >=_p (>_p when strict) a
+    given leaf, for a tree of height h: the p-order compares the first
+    level(p) code entries, so that leaf is the start of the leaf's block
+    at depth level(p), or its end when strict."""
+    keep = min(lm.level(p), h)
+    return keep + h + 1 if strict else keep
 
 
 def compare_leaves_at(
@@ -162,8 +231,8 @@ def compare_leaves_at(
 ) -> int:
     """Compare two leaves in the p-order: numeric lexicographic comparison
     of the codes truncated to level(p) entries.  Returns -1/0/1."""
-    _checked_code(t, a)
-    _checked_code(t, b)
+    code_to_rank(t, a)
+    code_to_rank(t, b)
     keep = lm.level(p)
     x, y = a[:keep], b[:keep]
     return -1 if x < y else 1 if x > y else 0
@@ -180,25 +249,12 @@ def min_leaf_geq(
     when strict.  TOP if no leaf qualifies or the target is TOP.
 
     The total leaf order refines every p-order, so the returned leaf is
-    also minimal with respect to >=_p itself.
+    also minimal with respect to >=_p itself.  It is the start of the
+    target's block at depth level(p), or that block's end when strict; an
+    end past the last leaf is TOP.
     """
-    if target == TOP:
-        return TOP
-    _checked_code(t, target)
-    h = t.height
-    keep = min(lm.level(p), h)
-    prefix = target[:keep]
-    if not strict:
-        return prefix + (0,) * (h - keep)
-    # smallest valid prefix strictly above: bump the deepest position that
-    # still has a sibling to the left, zero out everything below it
-    for depth in range(keep, 0, -1):
-        parent = node_at(t, prefix[: depth - 1])
-        assert parent is not None
-        bumped = prefix[depth - 1] + 1
-        if bumped < len(parent.children):
-            return prefix[: depth - 1] + (bumped,) + (0,) * (h - depth)
-    return TOP
+    bounds = block_bounds(t, code_to_rank(t, target))
+    return rank_to_code(t, bounds[bound_slot(t.height, p, strict, lm)])
 
 
 def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, ...]] | None:

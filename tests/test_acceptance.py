@@ -33,7 +33,6 @@ from paritytree.progress_measure import (
     LiftTable,
     lift_value,
     strategy_from_measure,
-    tree_size,
     validate_signature,
     value_iteration,
     value_leq,
@@ -207,13 +206,13 @@ def test_criterion_7_lift_budget():
         for mk in (make_naive_tree, make_succinct_tree):
             tree = mk(g.n, g.d // 2)
             _, _, stats = value_iteration(g, tree)
-            assert stats.total <= g.n * tree_size(tree), seed
+            assert stats.total <= g.n * leaf_count(tree), seed
     loop = ParityGame(4, (EVE,), (1,), ((0,),))
     for mk in (make_naive_tree, make_succinct_tree):
         tree = mk(3, 2)
         _, _, stats = value_iteration(loop, tree)
-        assert stats.per_vertex[0] == tree_size(tree)
-        assert stats.total == tree_size(tree)
+        assert stats.per_vertex[0] == leaf_count(tree)
+        assert stats.total == leaf_count(tree)
     report(7, "lift totals within n*|T| on 400 runs; the odd self-loop "
               "lifts exactly |T| times on both trees")
 

@@ -92,6 +92,21 @@ class TestSolve:
         assert "DISAGREEMENT" in captured.err
         assert "parity 1;" in captured.err  # offending game is dumped
 
+    @pytest.mark.parametrize("extra", [[], ["--cross-check"]])
+    def test_malformed_file_tree(self, game_file, tmp_path, capsys, extra):
+        tree_file = tmp_path / "tree.txt"
+        tree_file.write_text("0\n1,x\n")
+        assert main(["solve", "-i", game_file, "--tree", f"file:{tree_file}",
+                     *extra]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tree_file}:2: ")
+        assert err.count("\n") == 1
+
+    def test_missing_file_tree(self, game_file, tmp_path, capsys):
+        assert main(["solve", "-i", game_file,
+                     "--tree", f"file:{tmp_path / 'none.txt'}"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         assert main(["solve", "-i", "/nonexistent.pg"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
@@ -160,6 +175,20 @@ class TestTree:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "3"
         assert len(out) == 4  # the three leaf codes follow
+
+    def test_build_large_succinct_counts_without_walking(self, capsys):
+        assert main(["tree", "build", "--kind", "succinct",
+                     "--n", "10000", "--h", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == "succinct(10000,10): 2575326157 leaves\n"
+
+    def test_malformed_codes_file(self, tmp_path, capsys):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0,0\n\n1,x\n")
+        assert main(["tree", "check", "--n", "2", "--h", "2",
+                     "--file", str(codes)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {codes}:3: malformed leaf code '1,x', "
+            "expected comma-separated integers\n")
 
     def test_bad_codes_file(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"

@@ -16,7 +16,6 @@ from paritytree.progress_measure import (
     LiftTable,
     lift_value,
     strategy_from_measure,
-    tree_size,
     validate_signature,
     value_iteration,
     value_leq,
@@ -25,6 +24,7 @@ from paritytree.progress_measure import (
 from paritytree.universal_tree import (
     TOP,
     leaf_codes,
+    leaf_count,
     make_naive_tree,
     make_succinct_tree,
 )
@@ -131,7 +131,7 @@ class TestValueIteration:
             g = generate_random_game(2 + seed % 5, 4, (1, 2), seed)
             tree = make_succinct_tree(g.n, g.d // 2)
             _, _, stats = value_iteration(g, tree)
-            assert stats.total <= g.n * tree_size(tree)
+            assert stats.total <= g.n * leaf_count(tree)
 
     def test_odd_self_loop_lifts_through_entire_tree(self):
         g = make(4, [EVE], [1], [(0,)])
@@ -141,7 +141,7 @@ class TestValueIteration:
             assert region.adam_wins == frozenset({0})
             # one change per leaf plus the final step to TOP... the walk
             # visits every leaf exactly once, so |T| value changes total
-            assert stats.per_vertex[0] == tree_size(tree)
+            assert stats.per_vertex[0] == leaf_count(tree)
 
     def test_unknown_policy(self):
         g = make(2, [EVE], [0], [(0,)])

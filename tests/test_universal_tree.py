@@ -9,6 +9,8 @@ from paritytree.universal_tree import (
     EnumerationGuardError,
     LevelMap,
     OrderedTree,
+    block_bounds,
+    code_to_rank,
     compare_leaves_at,
     count_trees,
     dump_leaf_codes,
@@ -22,6 +24,7 @@ from paritytree.universal_tree import (
     make_succinct_tree,
     min_leaf_geq,
     node_at,
+    rank_to_code,
     signature_to_tree,
     tree_from_leaf_codes,
     validate_tree,
@@ -43,6 +46,17 @@ class TestShape:
         for n in range(0, 20):
             for h in range(1, 5):
                 assert leaf_count(make_succinct_tree(n, h)) == f_recurrence(n, h)
+
+    def test_succinct_leaf_count_without_walking_leaves(self):
+        # 2.6e9 leaves: counted once per distinct shared node
+        assert leaf_count(make_succinct_tree(10**4, 10)) == f_recurrence(10**4, 10)
+
+    def test_memoised_counts_leave_equality_and_hash_alone(self):
+        counted = tree_from_leaf_codes([(0, 0), (1, 0), (1, 1)], 2)
+        fresh = tree_from_leaf_codes([(0, 0), (1, 0), (1, 1)], 2)
+        assert leaf_count(counted) == 3
+        assert counted == fresh and hash(counted) == hash(fresh)
+        assert repr(counted) == repr(fresh)
 
     def test_succinct_valid(self):
         for n in range(1, 10):
@@ -101,6 +115,33 @@ class TestLeafCodes:
     def test_tree_from_codes_rejects_empty(self):
         with pytest.raises(ValueError):
             tree_from_leaf_codes([], 1)
+
+
+class TestRanks:
+    # lopsided tree: left child has 2 leaves, right child has 1
+    T = OrderedTree(2, (OrderedTree(1, (LEAF, LEAF)), OrderedTree(1, (LEAF,))))
+
+    def test_codes_and_ranks(self):
+        assert [code_to_rank(self.T, c) for c in leaf_codes(self.T)] == [0, 1, 2]
+        assert [rank_to_code(self.T, r) for r in range(4)] == [(0, 0), (1, 0), (1, 1), TOP]
+        assert code_to_rank(self.T, TOP) == 3
+
+    def test_rejects_foreign_codes_and_ranks(self):
+        for code in [(0, 1), (2, 0), (0,), (0, 0, 0)]:
+            with pytest.raises(ValueError):
+                code_to_rank(self.T, code)
+        for rank in (-1, 4):
+            with pytest.raises(ValueError):
+                rank_to_code(self.T, rank)
+            with pytest.raises(ValueError):
+                block_bounds(self.T, rank)
+
+    def test_block_bounds(self):
+        # starts at depths 0..2, then ends at depths 0..2
+        assert block_bounds(self.T, 0) == (0, 0, 0, 3, 1, 1)
+        assert block_bounds(self.T, 1) == (0, 1, 1, 3, 3, 2)
+        assert block_bounds(self.T, 2) == (0, 1, 2, 3, 3, 3)
+        assert block_bounds(self.T, 3) == (3,) * 6
 
 
 class TestLevelMap:

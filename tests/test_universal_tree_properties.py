@@ -1,0 +1,118 @@
+"""Property-based tests of the leaf-rank arithmetic on trees rebuilt from
+leaf codes, including non-universal ones with uneven degrees: ranks follow
+the leaf order, block-based min_leaf_geq equals the linear-scan oracle, and
+value iteration on ranks reaches the fixed point of the leaf-code lift."""
+
+import pytest
+
+from paritytree.game_core import ADAM, EVE, ParityGame
+from paritytree.progress_measure import value_iteration, value_leq
+from paritytree.universal_tree import (
+    TOP,
+    LevelMap,
+    code_to_rank,
+    leaf_codes,
+    leaf_count,
+    min_leaf_geq,
+    rank_to_code,
+    tree_from_leaf_codes,
+)
+from test_universal_tree import scan_min_geq
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+@st.composite
+def trees(draw):
+    """Height 1-4, every internal node with 1-3 children, as leaf codes."""
+    h = draw(st.integers(1, 4))
+
+    def codes(depth):
+        if depth == h:
+            return [()]
+        return [(i,) + rest for i in range(draw(st.integers(1, 3)))
+                for rest in codes(depth + 1)]
+
+    return tree_from_leaf_codes(codes(0), h)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(trees())
+def test_ranks_follow_the_leaf_order(t):
+    codes = list(leaf_codes(t))
+    assert codes == sorted(codes)
+    assert [code_to_rank(t, c) for c in codes] == list(range(len(codes)))
+    assert [rank_to_code(t, r) for r in range(len(codes))] == codes
+    assert code_to_rank(t, TOP) == leaf_count(t) == len(codes)
+    assert rank_to_code(t, len(codes)) == TOP
+
+
+@hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+@hypothesis.given(trees(), st.data())
+def test_min_leaf_geq_matches_scan(t, data):
+    # d may exceed 2h, so level(p) can pass the tree's height
+    lm = LevelMap(2 * t.height + data.draw(st.sampled_from((0, 2))))
+    for target in list(leaf_codes(t)) + [TOP]:
+        for p in range(lm.d + 1):
+            for strict in (False, True):
+                want = TOP if target == TOP else scan_min_geq(t, target, p, strict, lm)
+                assert min_leaf_geq(t, target, p, strict, lm) == want, (target, p, strict)
+
+
+@st.composite
+def games_on(draw, h):
+    n = draw(st.integers(1, 4))
+    d = 2 * h
+    vertex = st.tuples(
+        st.sampled_from((EVE, ADAM)), st.integers(0, d),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple))
+    rows = draw(st.lists(vertex, min_size=n, max_size=n))
+    return ParityGame(d, *(tuple(col) for col in zip(*rows)))
+
+
+def reference_fixed_point(g, t):
+    """Least fixed point of the leaf-code lift, by round-robin passes with
+    the linear-scan oracle: Eve's minimum, Adam's maximum, joined with the
+    current value."""
+    lm = LevelMap(g.d)
+    mu = [(0,) * t.height] * g.n
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices():
+            p = g.priority[v]
+            options = [TOP if mu[w] == TOP else scan_min_geq(t, mu[w], p, p % 2 == 1, lm)
+                       for w in g.successors[v]]
+            best = options[0]
+            for o in options[1:]:
+                if value_leq(o, best) == (g.owner[v] == EVE):
+                    best = o
+            if not value_leq(best, mu[v]):
+                mu[v] = best
+                changed = True
+    return mu
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_value_iteration_matches_leaf_code_reference(data):
+    t = data.draw(trees())
+    g = data.draw(games_on(t.height))
+    want = reference_fixed_point(g, t)
+    for policy in ("fifo", "roundrobin", "random"):
+        assert value_iteration(g, t, policy=policy, seed=1)[0] == want, policy
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(trees(), st.data())
+def test_initial_measure_must_hold_leaf_codes(t, data):
+    codes = list(leaf_codes(t))
+    bad = data.draw(st.one_of(
+        st.lists(st.integers(0, 3), min_size=t.height, max_size=t.height).map(tuple)
+        .filter(lambda c: c not in codes),
+        st.just((0,) * (t.height + 1)),
+        st.just((0,) * (t.height - 1))))
+    g = ParityGame(2 * t.height, (EVE,), (0,), ((0,),))
+    with pytest.raises(ValueError):
+        value_iteration(g, t, initial=[bad])
