@@ -67,19 +67,6 @@ def g_lower_closed(n: int, h: int) -> int:
     return comb(p + h - 1, p)
 
 
-class BoundTable:
-    """Memoized exact f/g values over a rectangular (n, h) grid."""
-
-    def entry(self, n: int, h: int) -> tuple[int, int]:
-        return f_recurrence(n, h), g_recurrence(n, h)
-
-    def rows(self, n_max: int, h_max: int):
-        for n in range(1, n_max + 1):
-            for h in range(1, h_max + 1):
-                f, g = self.entry(n, h)
-                yield n, h, f, g
-
-
 def _fbar(p: int, h: int) -> int:
     # recurrence form of the power-of-two upper envelope
     table = {}

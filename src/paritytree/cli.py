@@ -234,8 +234,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    table = bounds.BoundTable()
-    rows = list(table.rows(args.n_max, args.h_max))
+    rows = [(n, h, bounds.f_recurrence(n, h), bounds.g_recurrence(n, h))
+            for n in range(1, args.n_max + 1) for h in range(1, args.h_max + 1)]
     if args.format == "markdown":
         print("| n | h | f(n,h) | g(n,h) |")
         print("|---|---|--------|--------|")

@@ -30,12 +30,6 @@ class PositionalStrategy:
         return hash(frozenset(self.choice.items()))
 
 
-def _strategies(g: ParityGame, player: int):
-    verts = [v for v in g.vertices() if g.owner[v] == player]
-    for picks in itertools.product(*(g.successors[v] for v in verts)):
-        yield PositionalStrategy(dict(zip(verts, picks)))
-
-
 def _strategy_count(g: ParityGame, player: int) -> int:
     count = 1
     for v in g.vertices():

@@ -61,6 +61,16 @@ class OrderedTree:
         not a field, so equality and hashing ignore it."""
         return tuple(itertools.accumulate(map(leaf_count, reversed(self.children)), initial=0))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.height, self.children))
+
+    def __hash__(self) -> int:
+        """Hash of (height, children), computed once per node object, so
+        hashing a tree whose subtrees are shared costs O(distinct nodes)
+        rather than one visit per path."""
+        return self._hash
+
 
 LEAF = OrderedTree(0)
 
@@ -257,58 +267,57 @@ def min_leaf_geq(
     return rank_to_code(t, bounds[bound_slot(t.height, p, strict, lm)])
 
 
+def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[tuple[int, int], bool]) -> bool:
+    """Whether a embeds in b with root mapped to root: a's children go,
+    left to right, each into the leftmost remaining child of b it embeds
+    in.  Greedy matching is exact here: any embedding can be shifted onto
+    the greedy choices one child at a time.  ``memo`` holds the decisions
+    for child pairs, keyed by ``(id(a), id(b))``, so subtrees shared
+    between trees are matched once; the caller owns it and must keep
+    every tree it names alive."""
+    if a.height == 1:  # a leaf embeds in any leaf
+        return len(a.children) <= len(b.children)
+    rest = iter(b.children)
+    for x in a.children:
+        for y in rest:
+            key = (id(x), id(y))
+            ok = memo.get(key)
+            if ok is None:
+                ok = memo[key] = _embeds(x, y, memo)
+            if ok:
+                break
+        else:
+            return False
+    return True
+
+
 def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, ...]] | None:
     """Injective, depth- and sibling-order-preserving map from t into big
     with root mapped to root, or None if no embedding exists.
 
-    Exact dynamic programming over (t-node, big-node) pairs; the returned
-    mapping uses left-to-right child-index paths on both sides.
+    Greedy: each child goes into the leftmost remaining child of its
+    image that can host it (see _embeds).  The returned mapping uses
+    left-to-right child-index paths on both sides.
     """
     if t.height != big.height:
         raise ValueError(f"height mismatch: {t.height} vs {big.height}")
-    tables: dict[tuple[int, int], list[list[bool]] | None] = {}
-
-    def fits(a: OrderedTree, b: OrderedTree) -> bool:
-        if a.height == 0:
-            return True
-        key = (id(a), id(b))
-        if key in tables:
-            return tables[key] is not None
-        ca, cb = a.children, b.children
-        dp = [[False] * (len(cb) + 1) for _ in range(len(ca) + 1)]
-        for j in range(len(cb) + 1):
-            dp[0][j] = True
-        for i in range(1, len(ca) + 1):
-            for j in range(1, len(cb) + 1):
-                dp[i][j] = dp[i][j - 1] or (dp[i - 1][j - 1] and fits(ca[i - 1], cb[j - 1]))
-        tables[key] = dp if dp[len(ca)][len(cb)] else None
-        return tables[key] is not None
-
-    if not fits(t, big):
+    memo: dict[tuple[int, int], bool] = {}
+    if not _embeds(t, big, memo):
         return None
-
     mapping: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def reconstruct(a: OrderedTree, b: OrderedTree,
-                    pa: tuple[int, ...], pb: tuple[int, ...]) -> None:
+    def record(a: OrderedTree, b: OrderedTree,
+               pa: tuple[int, ...], pb: tuple[int, ...]) -> None:
+        # replays _embeds' matching; every child pair it tries is in memo
         mapping[pa] = pb
-        if a.height == 0:
-            return
-        dp = tables[(id(a), id(b))]
-        assert dp is not None
-        i, j = len(a.children), len(b.children)
-        pairs = []
-        while i > 0:
-            if dp[i][j - 1]:
-                j -= 1
-            else:
-                pairs.append((i - 1, j - 1))
-                i -= 1
-                j -= 1
-        for ci, cj in reversed(pairs):
-            reconstruct(a.children[ci], b.children[cj], pa + (ci,), pb + (cj,))
+        rest = enumerate(b.children)
+        for i, x in enumerate(a.children):
+            for j, y in rest:
+                if x.height == 0 or memo[id(x), id(y)]:
+                    break
+            record(x, y, pa + (i,), pb + (j,))
 
-    reconstruct(t, big, (), ())
+    record(t, big, (), ())
     return mapping
 
 
@@ -368,8 +377,9 @@ def is_universal(t: OrderedTree, n: int, h: int,
     the first non-embeddable witness."""
     if t.height != h:
         raise ValueError(f"tree height {t.height} != h = {h}")
+    memo: dict[tuple[int, int], bool] = {}
     for shape in enumerate_trees(n, h, cap):
-        if embed(shape, t) is None:
+        if not _embeds(shape, t, memo):
             return False, shape
     return True, None
 
@@ -381,9 +391,10 @@ def find_minimal_universal(n: int, h: int,
     result of L is an exhaustive proof that no (L-1)-leaf tree works."""
     shapes = list(enumerate_trees(n, h, cap))
     size = g_recurrence(n, h)
+    memo: dict[tuple[int, int], bool] = {}  # shared subtrees recur across candidates
     while True:
         for candidate in enumerate_trees(size, h, cap):
-            if all(embed(shape, candidate) is not None for shape in shapes):
+            if all(_embeds(shape, candidate, memo) for shape in shapes):
                 return size, candidate
         size += 1
 

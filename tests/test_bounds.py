@@ -1,7 +1,6 @@
 import pytest
 
 from paritytree.bounds import (
-    BoundTable,
     check_closed_forms,
     check_ratio,
     f_recurrence,
@@ -9,6 +8,7 @@ from paritytree.bounds import (
     g_lower_closed,
     g_recurrence,
 )
+from paritytree.cli import EXIT_OK, main
 
 
 class TestRecurrences:
@@ -70,10 +70,15 @@ class TestClosedForms:
 
 
 class TestBoundTable:
-    def test_rows(self):
-        rows = list(BoundTable().rows(3, 2))
+    """The (n, h) grid of exact f/g values that `bounds table` prints."""
+
+    def test_rows(self, capsys):
+        assert main(["bounds", "table", "--n-max", "3", "--h-max", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows = [tuple(int(x) for x in line.split("\t")) for line in lines]
         assert (3, 2, f_recurrence(3, 2), g_recurrence(3, 2)) in rows
         assert len(rows) == 6
+        assert [row[:2] for row in rows] == [(n, h) for n in (1, 2, 3) for h in (1, 2)]
 
     def test_entry(self):
-        assert BoundTable().entry(5, 2) == (11, 10)
+        assert (f_recurrence(5, 2), g_recurrence(5, 2)) == (11, 10)

@@ -58,6 +58,29 @@ class TestShape:
         assert counted == fresh and hash(counted) == hash(fresh)
         assert repr(counted) == repr(fresh)
 
+    def test_equal_trees_hash_equal(self):
+        built = OrderedTree(2, (OrderedTree(1, (OrderedTree(0),) * 2), OrderedTree(1, (LEAF,))))
+        again = OrderedTree(2, (OrderedTree(1, (LEAF, LEAF)), OrderedTree(1, (OrderedTree(0),))))
+        rebuilt = tree_from_leaf_codes([(0, 0), (1, 0), (1, 1)], 2)
+        assert built == again == rebuilt
+        assert hash(built) == hash(again) == hash(rebuilt)
+        assert {built: "x"}[rebuilt] == "x"
+        for n, h in ((5, 2), (6, 3)):
+            shared = make_succinct_tree(n, h)
+            flat = tree_from_leaf_codes(list(leaf_codes(shared)), h)
+            assert shared == flat and hash(shared) == hash(flat)
+        assert len({built, make_naive_tree(3, 1), make_naive_tree(2, 2)}) == 3
+
+    def test_hash_visits_each_shared_node_once(self):
+        # 2^200 root-to-leaf paths over 201 distinct nodes
+        def tower():
+            t = LEAF
+            for height in range(1, 201):
+                t = OrderedTree(height, (t, t))
+            return t
+
+        assert hash(tower()) == hash(tower())
+
     def test_succinct_valid(self):
         for n in range(1, 10):
             for h in range(1, 4):
@@ -302,6 +325,12 @@ class TestUniversality:
         assert size == 3
         assert leaf_count(witness) == 3
         assert is_universal(witness, 2, 2)[0]
+
+    def test_find_minimal_seven_leaves_height_two(self):
+        # g(7, 2) = 16, so the search rejects all 2^15 16-leaf candidates
+        size, witness = find_minimal_universal(7, 2)
+        assert size == 17
+        assert is_universal(witness, 7, 2)[0]
 
     def test_find_minimal_height_one(self):
         size, witness = find_minimal_universal(4, 1)
