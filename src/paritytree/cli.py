@@ -9,27 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import bounds, game_core, oracle, progress_measure, universal_tree, zielonka
 from .game_core import ParityGame, PGParseError, Region
-from .progress_measure import LiftStats
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DISAGREE = 2
-
-
-@dataclass
-class RunReport:
-    source: str
-    algorithm: str
-    tree_kind: str | None = None
-    tree_leaves: int | None = None
-    region: Region | None = None
-    stats: LiftStats | None = None
-    elapsed: float = 0.0
-    agreement: dict[str, bool] = field(default_factory=dict)
 
 
 def _fail(msg: str) -> int:
@@ -110,12 +96,12 @@ def cmd_solve(args) -> int:
         return _cross_check(g, args)
 
     started = time.perf_counter()
-    report = RunReport(source=args.input, algorithm=args.algorithm)
+    tree_leaves = None
     try:
         if args.algorithm == "brute":
-            report.region = oracle.solve_bruteforce(g)
+            region = oracle.solve_bruteforce(g)
         elif args.algorithm == "zielonka":
-            report.region = zielonka.solve_zielonka(g)
+            region = zielonka.solve_zielonka(g)
             if args.emit_signature:
                 mu = zielonka.extract_signature(g)
                 for v in g.vertices():
@@ -131,10 +117,7 @@ def cmd_solve(args) -> int:
             policy, seed = _parse_policy(args.policy)
             mu, region, stats = progress_measure.value_iteration(
                 g, tree, policy=policy, seed=seed)
-            report.region = region
-            report.tree_kind = kind
-            report.tree_leaves = universal_tree.leaf_count(tree)
-            report.stats = stats
+            tree_leaves = universal_tree.leaf_count(tree)
             if args.stats:
                 for v in g.vertices():
                     val = mu[v]
@@ -142,11 +125,10 @@ def cmd_solve(args) -> int:
                     print(f"{v}\t{stats.per_vertex[v]}\t{text}")
     except (OSError, ValueError, universal_tree.EnumerationGuardError) as exc:
         return _fail(str(exc))
-    report.elapsed = time.perf_counter() - started
-    _print_region(report.region, args.format)
-    if report.tree_leaves is not None and args.format != "tsv":
-        print(f"tree: {report.tree_kind} ({report.tree_leaves} leaves), "
-              f"{report.stats.total} lifts, {report.elapsed:.4f}s")
+    elapsed = time.perf_counter() - started
+    _print_region(region, args.format)
+    if tree_leaves is not None and args.format != "tsv":
+        print(f"tree: {kind} ({tree_leaves} leaves), {stats.total} lifts, {elapsed:.4f}s")
     return EXIT_OK
 
 

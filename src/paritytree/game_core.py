@@ -132,6 +132,7 @@ def require_valid(g: ParityGame) -> None:
         raise ValueError("invalid game: " + "; ".join(violations))
 
 
+_HEADER_RE = re.compile(r"^parity\s+(\d+)$")
 _VERTEX_RE = re.compile(
     r"^(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)(?:\s+\"([^\"]*)\")?$"
 )
@@ -144,10 +145,14 @@ def parse_pgsolver(text: str) -> ParityGame:
     largest vertex id, followed by one line per vertex, ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with
     owner 0 = Eve and 1 = Adam.  Whitespace-tolerant.  The priority bound d
     is the maximum priority rounded up to the nearest even number (>= 2).
+    Each line is matched once; a successor outside the vertices is
+    reported at the first line, in line order, that names one, after the
+    dense-id and header checks.
     """
     lines = text.splitlines()
     header: tuple[int, int] | None = None  # (line, declared max id)
-    records: dict[int, tuple[int, int, tuple[int, ...], str | None]] = {}
+    # id -> (priority, owner, successors, name, line, successor text)
+    records: dict[int, tuple[int, int, tuple[int, ...], str | None, int, str]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -156,7 +161,7 @@ def parse_pgsolver(text: str) -> ParityGame:
             raise PGParseError(lineno, "missing terminating ';'")
         body = line[:-1].strip()
         if header is None:
-            m = re.match(r"^parity\s+(\d+)$", body)
+            m = _HEADER_RE.match(body)
             if m is None:
                 raise PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}")
             header = (lineno, int(m.group(1)))
@@ -164,14 +169,12 @@ def parse_pgsolver(text: str) -> ParityGame:
         m = _VERTEX_RE.match(body)
         if m is None:
             raise PGParseError(lineno, f"malformed vertex line {line!r}")
-        vid = int(m.group(1))
-        prio = int(m.group(2))
-        owner = int(m.group(3))
-        succs = tuple(int(s) for s in re.split(r"\s*,\s*", m.group(4)))
-        name = m.group(5)
+        vid, prio, owner, succ_text, name = m.groups()
+        vid = int(vid)
         if vid in records:
             raise PGParseError(lineno, f"duplicate vertex id {vid}")
-        records[vid] = (prio, owner, succs, name)
+        succs = tuple(map(int, map(str.strip, succ_text.split(","))))
+        records[vid] = (int(prio), int(owner), succs, name, lineno, succ_text)
     if header is None:
         raise PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
     if not records:
@@ -183,15 +186,10 @@ def parse_pgsolver(text: str) -> ParityGame:
     if header[1] != n - 1:
         raise PGParseError(
             header[0], f"header declares max id {header[1]}, but the vertices are 0..{n - 1}")
-    for lineno, raw in enumerate(lines, start=1):
-        # second pass only to anchor dangling-successor diagnostics to a line
-        line = raw.strip()
-        m = _VERTEX_RE.match(line[:-1].strip()) if line.endswith(";") else None
-        if m is None:
-            continue
-        for s in re.split(r"\s*,\s*", m.group(4)):
-            if not 0 <= int(s) < n:
-                raise PGParseError(lineno, f"successor {s} references an undeclared vertex")
+    for _, _, succs, _, lineno, succ_text in records.values():
+        if max(succs) >= n:
+            s = next(s for s in map(str.strip, succ_text.split(",")) if int(s) >= n)
+            raise PGParseError(lineno, f"successor {s} references an undeclared vertex")
     priority = tuple(records[v][0] for v in range(n))
     owner = tuple(records[v][1] for v in range(n))
     successors = tuple(records[v][2] for v in range(n))

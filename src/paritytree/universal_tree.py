@@ -71,6 +71,27 @@ class OrderedTree:
         rather than one visit per path."""
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality, O(distinct node pairs): pairs already proven
+        equal in this call are not compared again."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same(self, other, set())
+
+
+def _same(a: OrderedTree, b: OrderedTree, proven: set[tuple[int, int]]) -> bool:
+    if a is b:
+        return True
+    if a._hash != b._hash or a.height != b.height or len(a.children) != len(b.children):
+        return False
+    key = (id(a), id(b))
+    if key in proven:
+        return True
+    if all(_same(x, y, proven) for x, y in zip(a.children, b.children)):
+        proven.add(key)
+        return True
+    return False
+
 
 LEAF = OrderedTree(0)
 

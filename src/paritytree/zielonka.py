@@ -12,13 +12,14 @@ every opponent vertex counts its successors still outside the attractor.
 Eve's positional strategy comes from the same pass: attractor witnesses,
 any successor inside V at her top-priority vertices, and the sub-results.
 
-The least-fixed-point stage sequence survives only in signature
-extraction (``signature_stages``): its inner solves of subgames with
-terminal Win/Lose vertices are the recursion above.
+The classical signature is read off that strategy: once Eve's moves are
+fixed, each of its components is a longest-path count in the graph her
+strategy leaves, one worklist pass per odd priority (``extract_signature``).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
@@ -29,19 +30,6 @@ Vertices = frozenset[int] | set[int]
 LESS = -1
 EQUAL = 0
 GREATER = 1
-
-
-@dataclass(frozen=True)
-class SubGame:
-    """Masked view of ``base``: only ``active`` vertices are in play,
-    ``terminal_win``/``terminal_lose`` stop the game immediately, and all
-    active priorities are <= ``priority_cap``."""
-
-    base: ParityGame
-    active: frozenset[int]
-    terminal_win: frozenset[int]
-    terminal_lose: frozenset[int]
-    priority_cap: int
 
 
 @dataclass(frozen=True)
@@ -60,22 +48,6 @@ def tuple_compare(x: SignatureTuple, y: SignatureTuple, p: int, d: int) -> int:
     keep = d // 2 - p // 2  # number of odd priorities in [p, d]
     a, b = x.values[:keep], y.values[:keep]
     return LESS if a < b else GREATER if a > b else EQUAL
-
-
-def pre(sg: SubGame, U: Vertices) -> frozenset[int]:
-    """Active vertices from which Eve can force entering U in one step:
-    her vertices need some successor in U, Adam's need all of them there."""
-    g = sg.base
-    out = set()
-    for v in sg.active:
-        succs = g.successors[v]
-        if g.owner[v] == EVE:
-            if any(w in U for w in succs):
-                out.add(v)
-        else:
-            if all(w in U for w in succs):
-                out.add(v)
-    return frozenset(out)
 
 
 def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Vertices,
@@ -138,40 +110,6 @@ def _solve(g: ParityGame, preds: list[list[int]], V: Vertices,
     return won
 
 
-def _solve_terminals(g: ParityGame, preds: list[list[int]], active: frozenset[int],
-                     win: frozenset[int], lose: frozenset[int]) -> frozenset[int]:
-    """Eve's winning vertices of ``active`` when a play stops with her win
-    at ``win`` and her loss at ``lose``.  What neither player can force to
-    a terminal is a subgame that either player leaves only to lose."""
-    reach = attractor(g, preds, active, win, EVE)
-    trapped = active - reach
-    avoid = attractor(g, preds, trapped, lose, ADAM)
-    return frozenset((reach - win) | _solve(g, preds, trapped - avoid, None))
-
-
-def signature_stages(sg: SubGame) -> list[frozenset[int]]:
-    """Stages X_1 <= X_2 <= ... of the least fixed point at the odd cap p,
-    from X_0 = {}: X_{k+1} = Win | (pre(X_k) & V_p) | W_k, where W_k is
-    Eve's part of the priority-<p vertices once pre(X_k) & V_p joins the
-    Win terminals and the rest of V_p the Lose terminals.  The sequence
-    ends with the repeated fixed point; Win terminals are in every stage."""
-    g, p = sg.base, sg.priority_cap
-    preds = g.predecessors()
-    vp = frozenset(v for v in sg.active if g.priority[v] == p)
-    rest = sg.active - vp
-    stages: list[frozenset[int]] = []
-    x: frozenset[int] = frozenset()
-    while True:
-        win_k = pre(sg, x) & vp
-        lower = _solve_terminals(
-            g, preds, rest, sg.terminal_win | win_k, sg.terminal_lose | (vp - win_k))
-        x_new = sg.terminal_win | win_k | lower
-        stages.append(x_new)
-        if x_new == x:
-            return stages
-        x = x_new
-
-
 def _eve_region(g: ParityGame, sigma: dict[int, int] | None = None) -> frozenset[int]:
     require_valid(g)
     return frozenset(_solve(g, g.predecessors(), set(g.vertices()), sigma))
@@ -195,42 +133,56 @@ def eve_winning_strategy(g: ParityGame) -> dict[int, int]:
     return _region_and_strategy(g)[1]
 
 
-def _restrict_to_strategy(g: ParityGame, sigma: dict[int, int]) -> ParityGame:
-    succs = tuple(
-        (sigma[v],) if v in sigma else g.successors[v] for v in g.vertices())
-    return ParityGame(g.d, g.owner, g.priority, succs, g.names)
-
-
 def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
-    """Classical signature from the least-fixed-point stage sequences.
+    """Classical signature (Jurdzinski's small progress measure) of Eve's
+    winning region, read off one positional winning strategy.
 
-    A single positional winning strategy is fixed first and Eve's moves on
-    her winning region are frozen to it; running the per-priority stage
-    iterations on independent Eve choices can pick different witnesses for
-    different priorities and break the lexicographic conditions.
+    Eve's moves on her region E are frozen to the strategy sigma that
+    ``_region_and_strategy`` returns; choosing witnesses independently per
+    priority could break the lexicographic conditions.  In the graph sigma
+    leaves (an Eve vertex of E keeps only sigma(v), an Adam vertex all its
+    successors), E is closed and every cycle has an even top priority.
 
-    For each odd priority p, the priority-<=p part of the restricted game
-    is re-solved with terminals taken from the full-game winning regions
-    restricted to priorities strictly above p; component p of mu(v) is the
-    first stage index containing v.  Vertices in Adam's region map to TOP.
+    Lemma: for odd p, component p of mu(v) is the first stage of the
+    least fixed point at cap p that contains v, and that index equals the
+    greatest number of priority-p vertices on a path from v through
+    vertices of priority <= p; a vertex of priority > p ends the path and
+    counts 0.  No such path repeats a priority-p vertex, so the count is
+    at most |V_p & E| <= n.  Each component is one fifo worklist
+    relaxation over the predecessors in that graph.  Vertices in Adam's
+    region map to TOP.
     """
     eve, sigma = _region_and_strategy(g)
-    adam = frozenset(g.vertices()) - eve
-    gs = _restrict_to_strategy(g, sigma)
+    priority = g.priority
+    preds: dict[int, list[int]] = {v: [] for v in eve}
+    for v in eve:
+        for w in {sigma[v]} if v in sigma else set(g.successors[v]):
+            preds[w].append(v)
     comp = {v: [0] * (g.d // 2) for v in eve}
     for i, p in enumerate(range(g.d - 1, 0, -2)):
-        active = frozenset(v for v in g.vertices() if g.priority[v] <= p)
-        win = frozenset(v for v in eve if g.priority[v] > p)
-        lose = frozenset(v for v in adam if g.priority[v] > p)
-        seen: frozenset[int] = frozenset()
-        for k, stage in enumerate(signature_stages(SubGame(gs, active, win, lose, p))):
-            for v in stage - seen:
-                comp[v][i] = k
-            seen |= stage
-        if not eve <= seen:
-            raise AssertionError(
-                f"vertices {sorted(eve - seen)} won by Eve but missing from all stages at p={p}")
-    mu: dict[int, SignatureTuple | str] = {v: TOP for v in adam}
+        top = [v for v in eve if priority[v] == p]
+        count = dict.fromkeys(top, 1)
+        work = deque(top)
+        queued = set(top)
+        while work:
+            w = work.popleft()
+            queued.discard(w)
+            reach = count[w]
+            for v in preds[w]:
+                if priority[v] > p:
+                    continue
+                c = reach + (priority[v] == p)
+                if c > count.get(v, 0):
+                    if c > len(top):
+                        raise AssertionError(
+                            f"vertex {v} won by Eve lies on a cycle through priority {p}")
+                    count[v] = c
+                    if v not in queued:
+                        queued.add(v)
+                        work.append(v)
+        for v, c in count.items():
+            comp[v][i] = c
+    mu: dict[int, SignatureTuple | str] = {v: TOP for v in frozenset(g.vertices()) - eve}
     for v in eve:
         mu[v] = SignatureTuple(tuple(comp[v]))
     return mu

@@ -81,6 +81,19 @@ class TestShape:
 
         assert hash(tower()) == hash(tower())
 
+    def test_equality_visits_each_shared_pair_once(self):
+        # separately built towers share no node objects with each other
+        def tower(bottom):
+            t = bottom
+            for height in range(2, 201):
+                t = OrderedTree(height, (t, t))
+            return t
+
+        pair = OrderedTree(1, (LEAF, LEAF))
+        assert tower(pair) == tower(OrderedTree(1, (LEAF, LEAF)))
+        assert tower(pair) != tower(OrderedTree(1, (LEAF,)))
+        assert tower(pair) != tower(OrderedTree(1, (LEAF, LEAF, LEAF)))
+
     def test_succinct_valid(self):
         for n in range(1, 10):
             for h in range(1, 4):

@@ -16,15 +16,13 @@ from paritytree.zielonka import (
     LESS,
     TOP,
     SignatureTuple,
-    SubGame,
     attractor,
     eve_winning_strategy,
     extract_signature,
-    pre,
-    signature_stages,
     solve_zielonka,
     tuple_compare,
 )
+from signature_reference import SubGame, pre, reference_signature, signature_stages
 
 
 def make(d, owner, priority, successors):
@@ -243,3 +241,18 @@ class TestExtractSignature:
         mu = extract_signature(g)
         assert mu[1].values == (0,)
         assert mu[0].values == (1,)
+
+    def test_matches_stage_reference(self):
+        for seed in range(300):
+            g = generate_random_game(20, 8, (1, 3), seed + 70_000)
+            assert repr(extract_signature(g)) == repr(reference_signature(g)), seed
+
+    def test_counts_priority_p_vertices_on_the_longest_path(self):
+        # Adam at 0 picks between 1 -> 2 (two priority-1 vertices) and 3;
+        # the priority-4 vertex 3 ends every path at p = 1 and p = 3
+        g = make(4, [ADAM, EVE, EVE, EVE, EVE], [0, 1, 1, 4, 0],
+                 [(1, 3), (2,), (4,), (0,), (4,)])
+        mu = extract_signature(g)
+        assert [mu[v].values for v in range(5)] == [
+            (0, 2), (0, 2), (0, 1), (0, 0), (0, 0)]
+        assert mu == reference_signature(g)

@@ -1,6 +1,6 @@
 """Property-based differential tests of the Zielonka solver on generated
 tiny games: its regions equal the oracle's, and its extracted signature
-validates."""
+validates and equals the stage-sequence reference."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from paritytree.oracle import solve_bruteforce
 from paritytree.progress_measure import validate_signature
 from paritytree.universal_tree import TOP, signature_to_tree
 from paritytree.zielonka import extract_signature, solve_zielonka
+from signature_reference import reference_signature
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -36,3 +37,9 @@ def test_zielonka_matches_oracle_and_signature_validates(g):
     ok, why = validate_signature(
         g, tree, [TOP if mu[v] == TOP else codes[v] for v in g.vertices()])
     assert ok, why
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(tiny_games())
+def test_signature_matches_stage_reference(g):
+    assert repr(extract_signature(g)) == repr(reference_signature(g))
