@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 EVE = 0
 ADAM = 1
@@ -39,6 +40,13 @@ class ParityGame:
 
     ``successors[v]`` is an ordered tuple of successor ids.  ``names`` is
     an optional per-vertex label tuple (entries may be None).
+
+    Facts derived from the game are computed at most once per game object
+    and cached on it: its invariant violations (``validate_game``), its
+    predecessor lists (``predecessors``) and Zielonka's winning region and
+    strategy for Eve (``zielonka._region_and_strategy``).  The caches hold
+    only because the game cannot change, so the per-vertex tables must be
+    tuples, never lists.
     """
 
     d: int
@@ -59,13 +67,59 @@ class ParityGame:
         return range(self.n)
 
     def predecessors(self) -> list[list[int]]:
-        """Reverse adjacency, built on demand."""
-        preds: list[list[int]] = [[] for _ in range(self.n)]
+        """Reverse adjacency: ``predecessors()[w]`` lists each vertex with an
+        edge to w once, in ascending order.  Built once per game in O(m);
+        every call returns the same lists, which callers must not modify."""
+        return self._predecessors
+
+    @cached_property
+    def _predecessors(self) -> list[list[int]]:
+        n = self.n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        last = [-1] * n  # last[w]: the latest source already listed in preds[w]
         for v, succs in enumerate(self.successors):
             for w in succs:
-                if 0 <= w < self.n and v not in preds[w]:
+                if 0 <= w < n and last[w] != v:
+                    last[w] = v
                     preds[w].append(v)
         return preds
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        violations = []
+        n = self.n
+        if len(self.priority) != n:
+            violations.append(
+                f"priority table has {len(self.priority)} entries for {n} vertices")
+        if len(self.successors) != n:
+            violations.append(
+                f"successor table has {len(self.successors)} entries for {n} vertices")
+        if self.names is not None and len(self.names) != n:
+            violations.append(f"name table has {len(self.names)} entries for {n} vertices")
+        if self.d < 2 or self.d % 2 != 0:
+            violations.append(f"d={self.d} is not an even number >= 2")
+        for v in range(min(n, len(self.owner))):
+            if self.owner[v] not in (EVE, ADAM):
+                violations.append(f"vertex {v}: owner {self.owner[v]} not in {{0, 1}}")
+        for v in range(min(n, len(self.priority))):
+            p = self.priority[v]
+            if p < 0:
+                violations.append(f"vertex {v}: negative priority {p}")
+            elif p > self.d:
+                violations.append(f"vertex {v}: priority exceeds d ({p} > {self.d})")
+        for v in range(min(n, len(self.successors))):
+            succs = self.successors[v]
+            if len(succs) == 0:
+                violations.append(f"dead end at vertex {v}")
+            for w in succs:
+                if not 0 <= w < n:
+                    violations.append(f"vertex {v}: successor {w} out of range [0, {n})")
+        return tuple(violations)
+
+    @cached_property
+    def _zielonka(self) -> tuple[frozenset[int], dict[int, int]]:
+        from .zielonka import _recursion  # zielonka imports this module
+        return _recursion(self)
 
 
 @dataclass(frozen=True)
@@ -93,37 +147,10 @@ def validate_game(g: ParityGame) -> list[str]:
     """Return every invariant violation as a human-readable string.
 
     An empty list means the game is valid.  Violations are data, not
-    exceptions: callers decide whether to raise.
+    exceptions: callers decide whether to raise.  They are found once per
+    game; each call returns a fresh list.
     """
-    violations = []
-    n = g.n
-    if len(g.priority) != n:
-        violations.append(
-            f"priority table has {len(g.priority)} entries for {n} vertices")
-    if len(g.successors) != n:
-        violations.append(
-            f"successor table has {len(g.successors)} entries for {n} vertices")
-    if g.names is not None and len(g.names) != n:
-        violations.append(f"name table has {len(g.names)} entries for {n} vertices")
-    if g.d < 2 or g.d % 2 != 0:
-        violations.append(f"d={g.d} is not an even number >= 2")
-    for v in range(min(n, len(g.owner))):
-        if g.owner[v] not in (EVE, ADAM):
-            violations.append(f"vertex {v}: owner {g.owner[v]} not in {{0, 1}}")
-    for v in range(min(n, len(g.priority))):
-        p = g.priority[v]
-        if p < 0:
-            violations.append(f"vertex {v}: negative priority {p}")
-        elif p > g.d:
-            violations.append(f"vertex {v}: priority exceeds d ({p} > {g.d})")
-    for v in range(min(n, len(g.successors))):
-        succs = g.successors[v]
-        if len(succs) == 0:
-            violations.append(f"dead end at vertex {v}")
-        for w in succs:
-            if not 0 <= w < n:
-                violations.append(f"vertex {v}: successor {w} out of range [0, {n})")
-    return violations
+    return list(g._violations)
 
 
 def require_valid(g: ParityGame) -> None:

@@ -427,8 +427,9 @@ def signature_to_tree(
     ordered by descending component value (larger value = further left),
     plus the leaf code holding each vertex's tuple.
 
-    The induced leaf p-orders agree with tuple_compare for every pair of
-    assigned vertices, which is what the embedding round-trip tests check.
+    For every p, the induced leaf p-order agrees with comparing the
+    tuples lexicographically on their components for odd priorities >= p,
+    for every pair of assigned vertices.
     """
     h = d // 2
     tuples = sorted({m.values for m in mu.values() if m != TOP})

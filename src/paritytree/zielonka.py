@@ -7,10 +7,12 @@ subgame V with top priority p, the player who likes p attracts to the
 priority-p vertices; the rest is solved recursively.  If the opponent wins
 nothing there, the player wins all of V; otherwise the opponent's part is
 attracted to and removed, and the loop goes on with what is left.  Each
-attractor is O(m): ``ParityGame.predecessors`` is built once per solve and
+attractor is O(m): ``ParityGame.predecessors`` is built once per game and
 every opponent vertex counts its successors still outside the attractor.
 Eve's positional strategy comes from the same pass: attractor witnesses,
 any successor inside V at her top-priority vertices, and the sub-results.
+The recursion runs once per game: the game caches Eve's region and
+strategy, and every function here reads them.
 
 The classical signature is read off that strategy: once Eve's moves are
 fixed, each of its components is a longest-path count in the graph her
@@ -27,10 +29,6 @@ from .universal_tree import TOP
 
 Vertices = frozenset[int] | set[int]
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 
 @dataclass(frozen=True)
 class SignatureTuple:
@@ -38,16 +36,6 @@ class SignatureTuple:
     priority d-1-2i (most significant first)."""
 
     values: tuple[int, ...]
-
-
-def tuple_compare(x: SignatureTuple, y: SignatureTuple, p: int, d: int) -> int:
-    """Lexicographic comparison of the restrictions to odd priorities >= p,
-    most significant (largest priority) first."""
-    if len(x.values) != len(y.values):
-        raise ValueError("mismatched tuple lengths")
-    keep = d // 2 - p // 2  # number of odd priorities in [p, d]
-    a, b = x.values[:keep], y.values[:keep]
-    return LESS if a < b else GREATER if a > b else EQUAL
 
 
 def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Vertices,
@@ -81,10 +69,10 @@ def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Ve
 
 
 def _solve(g: ParityGame, preds: list[list[int]], V: Vertices,
-           sigma: dict[int, int] | None) -> set[int]:
-    """Eve's winning vertices of the subgame V.  With ``sigma``, her
-    strategy is written there: the last entry written for each of her
-    winning vertices is a winning move, other entries are stale."""
+           sigma: dict[int, int]) -> set[int]:
+    """Eve's winning vertices of the subgame V.  Her strategy is written to
+    ``sigma``: the last entry written for each of her winning vertices is
+    a winning move, other entries are stale."""
     priority = g.priority
     won: set[int] = set()
     while V:
@@ -97,10 +85,9 @@ def _solve(g: ParityGame, preds: list[list[int]], V: Vertices,
         lost = rest - rest_eve if player == EVE else rest_eve
         if not lost:
             if player == EVE:
-                if sigma is not None:
-                    for v in top:
-                        if g.owner[v] == EVE:
-                            sigma[v] = next(w for w in g.successors[v] if w in V)
+                for v in top:
+                    if g.owner[v] == EVE:
+                        sigma[v] = next(w for w in g.successors[v] if w in V)
                 won |= V
             return won
         taken = attractor(g, preds, V, lost, 1 - player, V, sigma)
@@ -110,27 +97,30 @@ def _solve(g: ParityGame, preds: list[list[int]], V: Vertices,
     return won
 
 
-def _eve_region(g: ParityGame, sigma: dict[int, int] | None = None) -> frozenset[int]:
-    require_valid(g)
-    return frozenset(_solve(g, g.predecessors(), set(g.vertices()), sigma))
+def _recursion(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]:
+    """What ``ParityGame._zielonka`` caches; call ``_region_and_strategy``."""
+    sigma: dict[int, int] = {}
+    eve = frozenset(_solve(g, g.predecessors(), set(g.vertices()), sigma))
+    return eve, {v: sigma[v] for v in sorted(eve) if g.owner[v] == EVE}
 
 
 def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]:
-    sigma: dict[int, int] = {}
-    eve = _eve_region(g, sigma)
-    return eve, {v: sigma[v] for v in sorted(eve) if g.owner[v] == EVE}
+    """Eve's region and strategy, from the one recursion run per game;
+    later calls share them, so callers must not modify them."""
+    require_valid(g)
+    return g._zielonka
 
 
 def solve_zielonka(g: ParityGame) -> Region:
     """Winning regions via the attractor recursion."""
-    eve = _eve_region(g)
+    eve = _region_and_strategy(g)[0]
     return Region(eve, frozenset(g.vertices()) - eve)
 
 
 def eve_winning_strategy(g: ParityGame) -> dict[int, int]:
     """Positional strategy for Eve, defined exactly on the Eve-owned
     vertices of her winning region, assembled from the recursion."""
-    return _region_and_strategy(g)[1]
+    return dict(_region_and_strategy(g)[1])
 
 
 def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
@@ -149,15 +139,11 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
     vertices of priority <= p; a vertex of priority > p ends the path and
     counts 0.  No such path repeats a priority-p vertex, so the count is
     at most |V_p & E| <= n.  Each component is one fifo worklist
-    relaxation over the predecessors in that graph.  Vertices in Adam's
-    region map to TOP.
+    relaxation over the game's predecessor lists, skipping the edges that
+    graph drops.  Vertices in Adam's region map to TOP.
     """
     eve, sigma = _region_and_strategy(g)
-    priority = g.priority
-    preds: dict[int, list[int]] = {v: [] for v in eve}
-    for v in eve:
-        for w in {sigma[v]} if v in sigma else set(g.successors[v]):
-            preds[w].append(v)
+    priority, preds = g.priority, g.predecessors()
     comp = {v: [0] * (g.d // 2) for v in eve}
     for i, p in enumerate(range(g.d - 1, 0, -2)):
         top = [v for v in eve if priority[v] == p]
@@ -169,7 +155,7 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
             queued.discard(w)
             reach = count[w]
             for v in preds[w]:
-                if priority[v] > p:
+                if priority[v] > p or v not in eve or sigma.get(v, w) != w:
                     continue
                 c = reach + (priority[v] == p)
                 if c > count.get(v, 0):

@@ -1,10 +1,12 @@
-"""Reference classical signature from least-fixed-point stage sequences.
+"""Reference classical signature from least-fixed-point stage sequences,
+and the reference order on signature tuples.
 
 This is the stage evaluator ``zielonka.extract_signature`` used before it
 read the signature off Eve's strategy graph.  It re-solves a subgame per
 stage, so it is slow, but it follows the definition: component p of mu(v)
 is the first stage at cap p that contains v.  The tests compare the
-package against it.
+package against it, and compare the p-orders of ``signature_to_tree``'s
+leaves against ``tuple_compare``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,22 @@ from dataclasses import dataclass
 
 from paritytree.game_core import ADAM, EVE, ParityGame
 from paritytree.universal_tree import TOP
-from paritytree.zielonka import SignatureTuple, _region_and_strategy, _solve, attractor
+from paritytree.zielonka import SignatureTuple, _region_and_strategy, attractor
+
+
+LESS = -1
+EQUAL = 0
+GREATER = 1
+
+
+def tuple_compare(x: SignatureTuple, y: SignatureTuple, p: int, d: int) -> int:
+    """Lexicographic comparison of the restrictions to odd priorities >= p,
+    most significant (largest priority) first."""
+    if len(x.values) != len(y.values):
+        raise ValueError("mismatched tuple lengths")
+    keep = d // 2 - p // 2  # number of odd priorities in [p, d]
+    a, b = x.values[:keep], y.values[:keep]
+    return LESS if a < b else GREATER if a > b else EQUAL
 
 
 @dataclass(frozen=True)
@@ -45,6 +62,29 @@ def pre(sg: SubGame, U) -> frozenset[int]:
     return frozenset(out)
 
 
+def _eve_wins(g: ParityGame, preds: list[list[int]], V: frozenset[int]) -> set[int]:
+    """Eve's part of V by the attractor recursion, without a strategy.
+    V need not be closed: the stage tests solve vertex sets that some
+    vertices leave, and the package's recursion, which records Eve's
+    moves, needs a successor inside V for each of her vertices."""
+    priority = g.priority
+    won: set[int] = set()
+    while V:
+        p = max(priority[v] for v in V)
+        player = EVE if p % 2 == 0 else ADAM
+        top = {v for v in V if priority[v] == p}
+        rest = V - attractor(g, preds, V, top, player, V)
+        rest_eve = _eve_wins(g, preds, rest)
+        lost = rest - rest_eve if player == EVE else rest_eve
+        if not lost:
+            return won | V if player == EVE else won
+        taken = attractor(g, preds, V, lost, 1 - player, V)
+        if player == ADAM:
+            won |= taken
+        V = V - taken
+    return won
+
+
 def _solve_terminals(g: ParityGame, preds: list[list[int]], active: frozenset[int],
                      win: frozenset[int], lose: frozenset[int]) -> frozenset[int]:
     """Eve's winning vertices of ``active`` when a play stops with her win
@@ -53,7 +93,7 @@ def _solve_terminals(g: ParityGame, preds: list[list[int]], active: frozenset[in
     reach = attractor(g, preds, active, win, EVE)
     trapped = active - reach
     avoid = attractor(g, preds, trapped, lose, ADAM)
-    return frozenset((reach - win) | _solve(g, preds, trapped - avoid, None))
+    return frozenset((reach - win) | _eve_wins(g, preds, trapped - avoid))
 
 
 def signature_stages(sg: SubGame) -> list[frozenset[int]]:

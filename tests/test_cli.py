@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from paritytree import zielonka
 from paritytree.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, main
 from paritytree.game_core import generate_random_game, write_pgsolver
 
@@ -56,6 +57,21 @@ class TestSolve:
                      "--emit-signature"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "0\t1" in out and "1\t0" in out
+
+    def test_emit_signature_solves_once(self, game_file, capsys, monkeypatch):
+        roots = []
+        solve = zielonka._solve
+
+        def counting(g, preds, V, sigma):
+            if len(V) == g.n:
+                roots.append(V)
+            return solve(g, preds, V, sigma)
+
+        monkeypatch.setattr(zielonka, "_solve", counting)
+        assert main(["solve", "-i", game_file, "--algorithm", "zielonka",
+                     "--emit-signature"]) == EXIT_OK
+        assert "Eve wins:  {0 1}" in capsys.readouterr().out
+        assert len(roots) == 1
 
     def test_cross_check_agreement(self, game_file, capsys):
         assert main(["solve", "-i", game_file, "--cross-check"]) == EXIT_OK
@@ -220,3 +236,25 @@ class TestBench:
         assert lines[0] == "seed\ttree\tleaves\tlifts\tseconds"
         assert len([l for l in lines if l.startswith("5\t")]) == 2
         assert any(l.startswith("total\tnaive") for l in lines)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "0"], "error: need n >= 1, got 0"),
+        (["--d", "3"], "error: need d even and >= 2, got 3"),
+        (["--n", "3", "--min-deg", "2", "--max-deg", "5"], "error: out-degree range"),
+    ], ids=["n0", "odd-d", "degree"])
+    def test_bad_arguments(self, capsys, args, message):
+        assert main(["bench", *args]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+
+    def test_skips_oversized_naive_tree(self, capsys):
+        assert main(["bench", "--count", "2", "--n", "40", "--d", "8"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("note: skipped naive:")
+        rows = [line.split("\t")[:2] for line in captured.out.splitlines()[1:]]
+        assert rows == [["0", "succinct"], ["1", "succinct"],
+                        ["total", "naive"], ["total", "succinct"]]
+        assert captured.out.splitlines()[-2] == "total\tnaive\t\t0\t"

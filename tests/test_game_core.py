@@ -15,6 +15,10 @@ from paritytree.game_core import (
     validate_game,
     write_pgsolver,
 )
+from paritytree.oracle import solve_bruteforce
+from paritytree.progress_measure import value_iteration
+from paritytree.universal_tree import make_naive_tree
+from paritytree.zielonka import eve_winning_strategy, extract_signature, solve_zielonka
 
 
 def make(d, owner, priority, successors, names=None):
@@ -203,3 +207,37 @@ class TestPredecessors:
     def test_reverse_adjacency(self):
         g = make(2, [0, 1, 0], [0, 1, 2], [(1, 2), (2,), (2,)])
         assert g.predecessors() == [[], [0], [0, 1, 2]]
+
+    def test_built_once_listing_each_source_once_in_order(self):
+        g = make(2, [0, 1, 0, 1], [0, 1, 2, 1],
+                 [(3, 1, 3), (1, 3, 1, 0), (3, 3, 2), (0, 0)])
+        preds = g.predecessors()
+        assert preds == [[1, 3], [0, 1], [2], [0, 1, 2]]
+        assert g.predecessors() is preds
+
+
+class TestPreparedGame:
+    """Facts cached on a game must not leak a shared mutable object, and
+    must not let an invalid game through on a later call."""
+
+    def test_validate_returns_a_fresh_list(self):
+        g = make(2, [0, 0], [0, 1], [(1,), ()])
+        first = validate_game(g)
+        first.clear()
+        assert validate_game(g) == ["dead end at vertex 1"]
+        valid = validate_game(SIMPLE)
+        valid.append("noise")
+        assert validate_game(SIMPLE) == []
+
+    @pytest.mark.parametrize("solve", [
+        solve_zielonka,
+        eve_winning_strategy,
+        extract_signature,
+        solve_bruteforce,
+        lambda g: value_iteration(g, make_naive_tree(2, 1)),
+    ], ids=["zielonka", "strategy", "signature", "brute", "vi"])
+    def test_invalid_game_rejected_on_every_call(self, solve):
+        g = make(2, [0, 1], [0, 1], [(1,), ()])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dead end at vertex 1"):
+                solve(g)

@@ -29,7 +29,8 @@ from paritytree.universal_tree import (
     tree_from_leaf_codes,
     validate_tree,
 )
-from paritytree.zielonka import SignatureTuple, tuple_compare
+from paritytree.zielonka import SignatureTuple
+from signature_reference import tuple_compare
 
 
 class TestShape:

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from paritytree import zielonka
 from paritytree.game_core import (
     ADAM,
     EVE,
@@ -11,18 +14,23 @@ from paritytree.oracle import solve_bruteforce
 from paritytree.universal_tree import signature_to_tree
 from paritytree.progress_measure import validate_signature
 from paritytree.zielonka import (
-    EQUAL,
-    GREATER,
-    LESS,
     TOP,
     SignatureTuple,
     attractor,
     eve_winning_strategy,
     extract_signature,
     solve_zielonka,
+)
+from signature_reference import (
+    EQUAL,
+    GREATER,
+    LESS,
+    SubGame,
+    pre,
+    reference_signature,
+    signature_stages,
     tuple_compare,
 )
-from signature_reference import SubGame, pre, reference_signature, signature_stages
 
 
 def make(d, owner, priority, successors):
@@ -256,3 +264,51 @@ class TestExtractSignature:
         assert [mu[v].values for v in range(5)] == [
             (0, 2), (0, 2), (0, 1), (0, 0), (0, 0)]
         assert mu == reference_signature(g)
+
+
+class TestOneSolvePerGame:
+    @staticmethod
+    def count_root_solves(monkeypatch, g):
+        calls = []
+        solve = zielonka._solve
+
+        def counting(game, preds, V, sigma):
+            if game is g and len(V) == g.n:
+                calls.append(V)
+            return solve(game, preds, V, sigma)
+
+        monkeypatch.setattr(zielonka, "_solve", counting)
+        return calls
+
+    def test_recursion_runs_once_per_game(self, monkeypatch):
+        g = generate_random_game(20, 8, (1, 3), 7)
+        calls = self.count_root_solves(monkeypatch, g)
+        region = solve_zielonka(g)
+        sigma = eve_winning_strategy(g)
+        mu = extract_signature(g)
+        assert len(calls) == 1
+        assert solve_zielonka(g) == region
+        assert eve_winning_strategy(g) == sigma
+        assert extract_signature(g) == mu
+        assert len(calls) == 1
+
+    def test_strategy_is_a_fresh_dict(self):
+        g = generate_random_game(20, 8, (1, 3), 7)
+        sigma = eve_winning_strategy(g)
+        assert sigma
+        want = dict(sigma)
+        sigma.clear()
+        assert eve_winning_strategy(g) == want
+        assert repr(extract_signature(g)) == repr(reference_signature(g))
+
+    def test_star_game_in_linear_time(self):
+        # every vertex moves to 0, an even self-loop, so 0 has in-degree n:
+        # the predecessor build and the solve must stay linear in it
+        n = 10**5
+        g = make(2, [v % 2 for v in range(n)], [2] + [v % 3 for v in range(1, n)],
+                 [(0,)] * n)
+        started = time.perf_counter()
+        assert solve_zielonka(g).eve_wins == frozenset(range(n))
+        mu = extract_signature(g)
+        assert time.perf_counter() - started < 10
+        assert [mu[v].values for v in range(4)] == [(0,), (1,), (0,), (0,)]
