@@ -5,8 +5,10 @@ signature validation, strategy extraction, and lift-count statistics.
 Measure values are leaf codes of the chosen tree, or TOP.  TOP is strictly
 greater than every leaf in every p-order, and absorbs: once a vertex hits
 TOP it stays there.  Internally the lift works on leaf ranks 0..|T|-1 with
-TOP = |T|: the least leaf >=_p (or >_p) a value is the start (or end) of
-the value's block at depth level(p), read from universal_tree.block_bounds.
+TOP = |T|.  One rule gives every option: the least leaf >=_p a value (>_p
+at odd p) is the start (or end) of the value's block at depth level(p),
+one slot of universal_tree.block_bounds.  Which slot depends only on the
+tree's height and the game's d, so the slots are memoised per (h, d).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
 from .universal_tree import (
@@ -27,7 +30,6 @@ from .universal_tree import (
     code_to_rank,
     compare_leaves_at,
     leaf_count,
-    min_leaf_geq,
     rank_to_code,
 )
 
@@ -56,21 +58,20 @@ class LiftStats:
 
 
 class LiftTable:
-    """The rank view of one (tree, d) pair: |T|, per priority the slot of
-    universal_tree.block_bounds that the lift reads, and the bounds of the
-    smallest leaf and of TOP (rank |T|), which most runs reach.  It holds
-    no state that grows, so sharing one across solves is safe."""
+    """Per priority p in [0, d], the slot of universal_tree.block_bounds
+    that holds the least leaf >=_p a value (>_p at odd p) in a tree of
+    height h.  It depends on (h, d) alone, never on the tree's shape, so
+    every tree of that height shares it: see lift_slots."""
 
-    def __init__(self, tree: OrderedTree, d: int):
-        self.tree = tree
-        self.lm = LevelMap(d)
-        self.slot = [bound_slot(tree.height, p, p % 2 == 1, self.lm) for p in range(d + 1)]
-        self.size = leaf_count(tree)
-        self.extremes = {0: block_bounds(tree, 0), self.size: block_bounds(tree, self.size)}
+    def __init__(self, h: int, d: int):
+        lm = LevelMap(d)
+        self.slot = tuple(bound_slot(h, p, lm) for p in range(d + 1))
 
-    def min_geq(self, target: MeasureValue, p: int) -> MeasureValue:
-        """Least leaf >=_p the target, strictly when p is odd."""
-        return min_leaf_geq(self.tree, target, p, strict=p % 2 == 1, lm=self.lm)
+
+@lru_cache(maxsize=64)
+def lift_slots(h: int, d: int) -> tuple[int, ...]:
+    """LiftTable(h, d).slot, built once per (h, d) pair."""
+    return LiftTable(h, d).slot
 
 
 def lift_value(
@@ -78,7 +79,6 @@ def lift_value(
     tree: OrderedTree,
     mu: list[MeasureValue],
     v: int,
-    table: LiftTable | None = None,
 ) -> MeasureValue:
     """New value for v: Eve takes the best (minimum) successor option,
     Adam the worst (maximum), each option being the least leaf dominating
@@ -91,9 +91,7 @@ def lift_value(
     operator is inflationary from any starting measure, not only along
     the all-minimum trajectory.
     """
-    if table is None:
-        table = LiftTable(tree, g.d)
-    tree, at = table.tree, table.slot[g.priority[v]]
+    at = lift_slots(tree.height, g.d)[g.priority[v]]
     options = [block_bounds(tree, code_to_rank(tree, mu[w]))[at] for w in g.successors[v]]
     best = min(options) if g.owner[v] == EVE else max(options)
     return rank_to_code(tree, max(code_to_rank(tree, mu[v]), best))
@@ -141,7 +139,6 @@ def value_iteration(
     tree: OrderedTree,
     policy: str = "fifo",
     seed: int | None = None,
-    table: LiftTable | None = None,
     initial: list[MeasureValue] | None = None,
 ) -> tuple[list[MeasureValue], Region, LiftStats]:
     """Run lifts to the least simultaneous fixed point above the initial
@@ -162,18 +159,16 @@ def value_iteration(
     require_valid(g)
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    if table is None:
-        table = LiftTable(tree, g.d)
-    tree = table.tree
-    if not table.size:
-        raise ValueError("the tree has no leaves")
     n = g.n
+    if initial is not None and len(initial) != n:
+        raise ValueError(f"initial measure has {len(initial)} values for {n} vertices")
+    if not leaf_count(tree):
+        raise ValueError("the tree has no leaves")
     mu = [code_to_rank(tree, c) for c in initial] if initial is not None else [0] * n
-    bounds_of = dict(table.extremes)  # block bounds of each rank reached in this call
-    for rank in set(mu).difference(bounds_of):
-        bounds_of[rank] = block_bounds(tree, rank)
+    # block bounds of each rank reached in this call
+    bounds_of = {rank: block_bounds(tree, rank) for rank in set(mu)}
     held = list(map(bounds_of.__getitem__, mu))
-    slot = list(map(table.slot.__getitem__, g.priority))
+    slot = list(map(lift_slots(tree.height, g.d).__getitem__, g.priority))
     owner, successors = g.owner, g.successors
     per_vertex = [0] * n
     started = time.perf_counter()

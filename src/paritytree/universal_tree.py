@@ -113,18 +113,6 @@ def leaf_count(t: OrderedTree) -> int:
     return 1 if t.height == 0 else t.cumulative[-1]
 
 
-def node_at(t: OrderedTree, path: LeafCode) -> OrderedTree | None:
-    """Descend along right-indexed child indices; None if the path is not
-    present in the tree."""
-    node = t
-    for idx in path:
-        deg = len(node.children)
-        if not 0 <= idx < deg:
-            return None
-        node = node.children[deg - 1 - idx]
-    return node
-
-
 def leaf_codes(t: OrderedTree):
     """All leaf codes in increasing order (rightmost leaf first)."""
     if t.height == 0:
@@ -248,13 +236,14 @@ def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
     return (*starts, *ends)
 
 
-def bound_slot(h: int, p: int, strict: bool, lm: LevelMap) -> int:
-    """Index into block_bounds of the least leaf >=_p (>_p when strict) a
-    given leaf, for a tree of height h: the p-order compares the first
+def bound_slot(h: int, p: int, lm: LevelMap) -> int:
+    """Index into block_bounds of the least leaf >=_p a given leaf, >_p
+    when p is odd, for a tree of height h: the p-order compares the first
     level(p) code entries, so that leaf is the start of the leaf's block
-    at depth level(p), or its end when strict."""
+    at depth level(p), or its end when p is odd.  An end past the last
+    leaf is TOP."""
     keep = min(lm.level(p), h)
-    return keep + h + 1 if strict else keep
+    return keep + h + 1 if p % 2 else keep
 
 
 def compare_leaves_at(
@@ -267,25 +256,6 @@ def compare_leaves_at(
     keep = lm.level(p)
     x, y = a[:keep], b[:keep]
     return -1 if x < y else 1 if x > y else 0
-
-
-def min_leaf_geq(
-    t: OrderedTree,
-    target: LeafCode | str,
-    p: int,
-    strict: bool,
-    lm: LevelMap,
-) -> LeafCode | str:
-    """Smallest leaf (in the total order) that is >=_p the target, or >_p
-    when strict.  TOP if no leaf qualifies or the target is TOP.
-
-    The total leaf order refines every p-order, so the returned leaf is
-    also minimal with respect to >=_p itself.  It is the start of the
-    target's block at depth level(p), or that block's end when strict; an
-    end past the last leaf is TOP.
-    """
-    bounds = block_bounds(t, code_to_rank(t, target))
-    return rank_to_code(t, bounds[bound_slot(t.height, p, strict, lm)])
 
 
 def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[tuple[int, int], bool]) -> bool:
@@ -436,19 +406,6 @@ def signature_to_tree(
     for t in tuples:
         if len(t) != h or any(not 0 <= c <= n for c in t):
             raise ValueError(f"tuple {t} is not in [0, {n}]^{h}")
-
-    def build(suffixes: list[tuple[int, ...]], depth: int) -> OrderedTree:
-        if depth == h:
-            return LEAF
-        groups: dict[int, set[tuple[int, ...]]] = {}
-        for s in suffixes:
-            groups.setdefault(s[0], set()).add(s[1:])
-        children = tuple(
-            build(sorted(groups[head]), depth + 1)
-            for head in sorted(groups, reverse=True))
-        return OrderedTree(h - depth, children)
-
-    tree = build(tuples, 0)
     code_of: dict[tuple[int, ...], LeafCode] = {}
     for t in tuples:
         code = []
@@ -456,6 +413,7 @@ def signature_to_tree(
             siblings = sorted({u[i] for u in tuples if u[:i] == t[:i]})
             code.append(siblings.index(t[i]))
         code_of[t] = tuple(code)
+    tree = tree_from_leaf_codes(list(code_of.values()), h) if tuples else OrderedTree(h, ())
     assignment = {
         v: code_of[m.values] for v, m in mu.items() if m != TOP}
     return tree, assignment

@@ -30,7 +30,6 @@ from paritytree.game_core import (
 )
 from paritytree.oracle import PositionalStrategy, play_outcome, solve_bruteforce
 from paritytree.progress_measure import (
-    LiftTable,
     lift_value,
     strategy_from_measure,
     validate_signature,
@@ -85,12 +84,11 @@ def test_criterion_1_solver_equivalence_exhaustive():
             h = d // 2
             naive = make_naive_tree(n, h)
             succ = make_succinct_tree(n, h)
-            tn, ts = LiftTable(naive, d), LiftTable(succ, d)
             for g in all_games(n, d):
                 expected = solve_bruteforce(g)
                 assert solve_zielonka(g) == expected, g
-                assert value_iteration(g, naive, table=tn)[1] == expected, g
-                assert value_iteration(g, succ, table=ts)[1] == expected, g
+                assert value_iteration(g, naive)[1] == expected, g
+                assert value_iteration(g, succ)[1] == expected, g
                 checked += 1
     elapsed = time.perf_counter() - started
     report(1, f"4 solvers agree on all {checked} games "
@@ -98,17 +96,12 @@ def test_criterion_1_solver_equivalence_exhaustive():
 
 
 def test_criterion_2_solver_equivalence_randomized():
-    tables = {}
     for seed in range(500):
         g = seeded_game(seed)
         expected = solve_bruteforce(g)
         assert solve_zielonka(g) == expected, seed
         for kind, mk in (("naive", make_naive_tree), ("succinct", make_succinct_tree)):
-            key = (kind, g.n, g.d)
-            if key not in tables:
-                tables[key] = LiftTable(mk(g.n, g.d // 2), g.d)
-            table = tables[key]
-            assert value_iteration(g, table.tree, table=table)[1] == expected, (seed, kind)
+            assert value_iteration(g, mk(g.n, g.d // 2))[1] == expected, (seed, kind)
     report(2, "4 solvers agree on 500 seeded games (n<=6, d<=6)")
 
 
@@ -162,15 +155,14 @@ def test_criterion_6_lift_laws():
     while trials < 10_000:
         g = seeded_game(rng.randrange(10_000), n_max=5, d_max=6)
         tree = make_succinct_tree(g.n, g.d // 2)
-        table = LiftTable(tree, g.d)
         codes = list(leaf_codes(tree)) + [TOP]
         for _ in range(20):
             mu = [rng.choice(codes) for _ in range(g.n)]
             nu = [rng.choice([c for c in codes if value_leq(m, c)]) for m in mu]
             v = rng.randrange(g.n)
-            lifted = lift_value(g, tree, mu, v, table)
+            lifted = lift_value(g, tree, mu, v)
             assert value_leq(mu[v], lifted), (g, mu, v)  # inflationary
-            assert value_leq(lifted, lift_value(g, tree, nu, v, table)), (g, mu, nu, v)
+            assert value_leq(lifted, lift_value(g, tree, nu, v)), (g, mu, nu, v)
             trials += 1
     # exhaustive tiny cases: every 1-vertex game over every measure value
     for d in (2, 4):

@@ -13,7 +13,6 @@ from paritytree.game_core import (
 )
 from paritytree.oracle import solve_bruteforce
 from paritytree.progress_measure import (
-    LiftTable,
     lift_value,
     strategy_from_measure,
     validate_signature,
@@ -29,6 +28,7 @@ from paritytree.universal_tree import (
     make_succinct_tree,
 )
 from paritytree.zielonka import solve_zielonka
+from test_universal_tree import reference_fixed_point
 
 
 def make(d, owner, priority, successors):
@@ -94,14 +94,13 @@ class TestLiftLaws:
                                      (1, 2), trial)
             tree = make_succinct_tree(g.n, g.d // 2)
             codes = list(leaf_codes(tree)) + [TOP]
-            table = LiftTable(tree, g.d)
             mu = [rng.choice(codes) for _ in range(g.n)]
             # nu pointwise above mu
             nu = [rng.choice([c for c in codes if value_leq(m, c)]) for m in mu]
             for v in range(g.n):
-                lifted = lift_value(g, tree, mu, v, table)
+                lifted = lift_value(g, tree, mu, v)
                 assert value_leq(mu[v], lifted)  # inflationary
-                assert value_leq(lifted, lift_value(g, tree, nu, v, table))
+                assert value_leq(lifted, lift_value(g, tree, nu, v))
 
 
 class TestValueIteration:
@@ -155,13 +154,32 @@ class TestValueIteration:
         assert mu == [(1,)]
         assert stats.total == 0
 
-    def test_shared_table_reuse(self):
-        g = generate_random_game(5, 4, (1, 2), 3)
-        tree = make_succinct_tree(g.n, g.d // 2)
-        table = LiftTable(tree, g.d)
-        a = value_iteration(g, tree, table=table)[0]
-        b = value_iteration(g, tree, table=table)[0]
-        assert a == b == value_iteration(g, tree)[0]
+    def test_initial_measure_must_cover_every_vertex(self):
+        g = make(2, [EVE], [0], [(0,)])
+        tree = make_naive_tree(2, 1)
+        with pytest.raises(ValueError, match="initial measure has 2 values for 1 vertices"):
+            value_iteration(g, tree, initial=[(0,), (1,)])
+        g = make(2, [EVE, EVE], [0, 0], [(1,), (0,)])
+        with pytest.raises(ValueError, match="initial measure has 1 values for 2 vertices"):
+            value_iteration(g, tree, initial=[(1,)])
+
+    def test_trees_of_one_height_share_no_state(self):
+        # naive (9 leaves) and succinct (5 leaves) trees of height 2 share
+        # their (h, d) slots and nothing else, whichever runs first
+        naive, succinct = make_naive_tree(3, 2), make_succinct_tree(3, 2)
+        games = [make(4, [EVE], [1], [(0,)])] + [
+            generate_random_game(3, 4, (1, 2), seed) for seed in range(30)]
+        for g in games:
+            expected, totals = solve_zielonka(g), {}
+            for tree in (naive, succinct, naive, succinct):
+                mu, region, stats = value_iteration(g, tree)
+                size = leaf_count(tree)
+                assert mu == reference_fixed_point(g, tree), (g, size)
+                assert region == expected, g
+                assert totals.setdefault(size, stats.total) == stats.total <= g.n * size
+        # the odd self-loop walks every leaf of the tree it was given
+        for tree in (naive, succinct, naive):
+            assert value_iteration(games[0], tree)[2].total == leaf_count(tree)
 
 
 class TestValidateSignature:

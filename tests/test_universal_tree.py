@@ -3,6 +3,8 @@ import random
 import pytest
 
 from paritytree.bounds import f_recurrence
+from paritytree.game_core import EVE, ParityGame
+from paritytree.progress_measure import lift_value, value_leq
 from paritytree.universal_tree import (
     LEAF,
     TOP,
@@ -22,8 +24,6 @@ from paritytree.universal_tree import (
     leaf_count,
     make_naive_tree,
     make_succinct_tree,
-    min_leaf_geq,
-    node_at,
     rank_to_code,
     signature_to_tree,
     tree_from_leaf_codes,
@@ -121,13 +121,7 @@ class TestLeafCodes:
             codes = list(leaf_codes(t))
             assert codes == sorted(codes)
             assert len(codes) == len(set(codes)) == leaf_count(t)
-            for c in codes:
-                assert node_at(t, c) is LEAF
             assert codes[0] == (0,) * t.height  # rightmost leaf is all zeros
-
-    def test_node_at_missing_path(self):
-        t = make_naive_tree(2, 2)
-        assert node_at(t, (2, 0)) is None
 
     def test_right_indexing(self):
         # lopsided tree: left child has 2 leaves, right child has 1
@@ -209,12 +203,44 @@ class TestCompare:
 
 
 def scan_min_geq(t, target, p, strict, lm):
-    """Linear-scan oracle for min_leaf_geq."""
+    """Linear-scan oracle for the least leaf >=_p the target (>_p when
+    strict)."""
     for code in leaf_codes(t):  # increasing order
         cmp = compare_leaves_at(t, code, target, p, lm)
         if cmp > 0 or (not strict and cmp == 0):
             return code
     return TOP
+
+
+def reference_fixed_point(g, t):
+    """Least fixed point of the leaf-code lift, by round-robin passes with
+    the linear-scan oracle: Eve's minimum, Adam's maximum, joined with the
+    current value."""
+    lm = LevelMap(g.d)
+    mu = [(0,) * t.height] * g.n
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices():
+            p = g.priority[v]
+            options = [TOP if mu[w] == TOP else scan_min_geq(t, mu[w], p, p % 2 == 1, lm)
+                       for w in g.successors[v]]
+            best = options[0]
+            for o in options[1:]:
+                if value_leq(o, best) == (g.owner[v] == EVE):
+                    best = o
+            if not value_leq(best, mu[v]):
+                mu[v] = best
+                changed = True
+    return mu
+
+
+def lift_onto(t, target, p, d):
+    """The lift's option for one successor: lift_value at an Eve vertex of
+    priority p on the smallest leaf whose only successor holds the target,
+    which is the least leaf >=_p the target, >_p at odd p."""
+    g = ParityGame(d, (EVE, EVE), (p, 0), ((1,), (1,)))
+    return lift_value(g, t, [(0,) * t.height, target], 0)
 
 
 class TestMinLeafGeq:
@@ -228,22 +254,21 @@ class TestMinLeafGeq:
             for _ in range(300):
                 target = rng.choice(codes)
                 p = rng.randint(0, lm.d)
-                strict = rng.random() < 0.5
-                assert min_leaf_geq(t, target, p, strict, lm) == \
-                    scan_min_geq(t, target, p, strict, lm), (t.height, target, p, strict)
+                assert lift_onto(t, target, p, lm.d) == \
+                    scan_min_geq(t, target, p, p % 2 == 1, lm), (t.height, target, p)
 
     def test_top_absorbs(self):
         t = make_naive_tree(2, 1)
-        assert min_leaf_geq(t, TOP, 1, True, LevelMap(2)) == TOP
+        assert lift_onto(t, TOP, 1, 2) == TOP
 
     def test_strict_past_last_leaf(self):
         t = make_naive_tree(2, 1)
-        assert min_leaf_geq(t, (1,), 1, True, LevelMap(2)) == TOP
+        assert lift_onto(t, (1,), 1, 2) == TOP
 
     def test_nonstrict_is_prefix_plus_zeros(self):
         t = make_naive_tree(3, 2)
-        assert min_leaf_geq(t, (2, 1), 2, False, LevelMap(4)) == (2, 0)
-        assert min_leaf_geq(t, (2, 1), 1, False, LevelMap(4)) == (2, 1)
+        assert lift_onto(t, (2, 1), 2, 4) == (2, 0)
+        assert lift_onto(t, (2, 1), 0, 4) == (2, 1)
 
 
 class TestEmbed:

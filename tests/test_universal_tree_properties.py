@@ -1,14 +1,14 @@
 """Property-based tests of the leaf-rank arithmetic and of tree embedding
 on trees rebuilt from leaf codes, including non-universal ones with uneven
-degrees: ranks follow the leaf order, block-based min_leaf_geq equals the
-linear-scan oracle, value iteration on ranks reaches the fixed point of
+degrees: ranks follow the leaf order, the lift's block-based least leaf
+>=_p equals the linear-scan oracle, value iteration on ranks reaches the fixed point of
 the leaf-code lift, and the greedy embedding agrees with an exact table
 dynamic program."""
 
 import pytest
 
 from paritytree.game_core import ADAM, EVE, ParityGame
-from paritytree.progress_measure import value_iteration, value_leq
+from paritytree.progress_measure import value_iteration
 from paritytree.universal_tree import (
     TOP,
     LevelMap,
@@ -18,11 +18,10 @@ from paritytree.universal_tree import (
     is_universal,
     leaf_codes,
     leaf_count,
-    min_leaf_geq,
     rank_to_code,
     tree_from_leaf_codes,
 )
-from test_universal_tree import scan_min_geq
+from test_universal_tree import lift_onto, reference_fixed_point, scan_min_geq
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -57,14 +56,13 @@ def test_ranks_follow_the_leaf_order(t):
 
 @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
 @hypothesis.given(trees(), st.data())
-def test_min_leaf_geq_matches_scan(t, data):
+def test_least_leaf_geq_matches_scan(t, data):
     # d may exceed 2h, so level(p) can pass the tree's height
     lm = LevelMap(2 * t.height + data.draw(st.sampled_from((0, 2))))
     for target in list(leaf_codes(t)) + [TOP]:
         for p in range(lm.d + 1):
-            for strict in (False, True):
-                want = TOP if target == TOP else scan_min_geq(t, target, p, strict, lm)
-                assert min_leaf_geq(t, target, p, strict, lm) == want, (target, p, strict)
+            want = TOP if target == TOP else scan_min_geq(t, target, p, p % 2 == 1, lm)
+            assert lift_onto(t, target, p, lm.d) == want, (target, p)
 
 
 @st.composite
@@ -76,29 +74,6 @@ def games_on(draw, h):
         st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple))
     rows = draw(st.lists(vertex, min_size=n, max_size=n))
     return ParityGame(d, *(tuple(col) for col in zip(*rows)))
-
-
-def reference_fixed_point(g, t):
-    """Least fixed point of the leaf-code lift, by round-robin passes with
-    the linear-scan oracle: Eve's minimum, Adam's maximum, joined with the
-    current value."""
-    lm = LevelMap(g.d)
-    mu = [(0,) * t.height] * g.n
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices():
-            p = g.priority[v]
-            options = [TOP if mu[w] == TOP else scan_min_geq(t, mu[w], p, p % 2 == 1, lm)
-                       for w in g.successors[v]]
-            best = options[0]
-            for o in options[1:]:
-                if value_leq(o, best) == (g.owner[v] == EVE):
-                    best = o
-            if not value_leq(best, mu[v]):
-                mu[v] = best
-                changed = True
-    return mu
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
