@@ -11,16 +11,11 @@ import sys
 import time
 
 from . import bounds, game_core, oracle, progress_measure, universal_tree, zielonka
-from .game_core import ParityGame, PGParseError, Region
+from .game_core import ParityGame, Region
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DISAGREE = 2
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT
 
 
 def _read_game(path: str) -> ParityGame:
@@ -53,17 +48,19 @@ def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
     return codes
 
 
-def _load_tree(spec: str, g: ParityGame):
-    """Returns (tree, kind, known_universal)."""
+def _load_tree(spec: str, g: ParityGame) -> universal_tree.OrderedTree:
+    """The tree a spec names, of height d/2 for g.  A tree from a file
+    may not be universal, so loading one prints a warning."""
     h = g.d // 2
     if spec == "naive":
-        return universal_tree.make_naive_tree(g.n, h), "naive", True
+        return universal_tree.make_naive_tree(g.n, h)
     if spec == "succinct":
-        return universal_tree.make_succinct_tree(g.n, h), "succinct", True
+        return universal_tree.make_succinct_tree(g.n, h)
     if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        codes = _read_leaf_codes(path)
-        return universal_tree.tree_from_leaf_codes(codes, h), f"file:{path}", False
+        tree = universal_tree.tree_from_leaf_codes(_read_leaf_codes(spec[len("file:"):]), h)
+        print("warning: tree loaded from file; universality not guaranteed, "
+              "the computed region may under-approximate Eve's", file=sys.stderr)
+        return tree
     raise ValueError(f"unknown tree spec {spec!r} (use naive, succinct, or file:PATH)")
 
 
@@ -87,72 +84,54 @@ def _print_region(region: Region, fmt: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        g = _read_game(args.input)
-    except (OSError, PGParseError, ValueError) as exc:
-        return _fail(str(exc))
-
+    g = _read_game(args.input)
     if args.cross_check:
         return _cross_check(g, args)
 
     started = time.perf_counter()
     tree_leaves = None
-    try:
-        if args.algorithm == "brute":
-            region = oracle.solve_bruteforce(g)
-        elif args.algorithm == "zielonka":
-            region = zielonka.solve_zielonka(g)
-            if args.emit_signature:
-                mu = zielonka.extract_signature(g)
-                for v in g.vertices():
-                    val = mu[v]
-                    text = "TOP" if val == zielonka.TOP else ",".join(map(str, val.values))
-                    print(f"{v}\t{text}")
-        else:
-            tree, kind, known = _load_tree(args.tree, g)
-            if not known:
-                print("warning: tree loaded from file; universality not guaranteed, "
-                      "the computed region may under-approximate Eve's",
-                      file=sys.stderr)
-            policy, seed = _parse_policy(args.policy)
-            mu, region, stats = progress_measure.value_iteration(
-                g, tree, policy=policy, seed=seed)
-            tree_leaves = universal_tree.leaf_count(tree)
-            if args.stats:
-                for v in g.vertices():
-                    val = mu[v]
-                    text = "TOP" if val == universal_tree.TOP else ",".join(map(str, val))
-                    print(f"{v}\t{stats.per_vertex[v]}\t{text}")
-    except (OSError, ValueError, universal_tree.EnumerationGuardError) as exc:
-        return _fail(str(exc))
+    if args.algorithm == "brute":
+        region = oracle.solve_bruteforce(g)
+    elif args.algorithm == "zielonka":
+        region = zielonka.solve_zielonka(g)
+        if args.emit_signature:
+            mu = zielonka.extract_signature(g)
+            for v in g.vertices():
+                val = mu[v]
+                text = "TOP" if val == zielonka.TOP else ",".join(map(str, val.values))
+                print(f"{v}\t{text}")
+    else:
+        tree = _load_tree(args.tree, g)
+        policy, seed = _parse_policy(args.policy)
+        mu, region, stats = progress_measure.value_iteration(
+            g, tree, policy=policy, seed=seed)
+        tree_leaves = universal_tree.leaf_count(tree)
+        if args.stats:
+            for v in g.vertices():
+                val = mu[v]
+                text = "TOP" if val == universal_tree.TOP else ",".join(map(str, val))
+                print(f"{v}\t{stats.per_vertex[v]}\t{text}")
     elapsed = time.perf_counter() - started
     _print_region(region, args.format)
     if tree_leaves is not None and args.format != "tsv":
-        print(f"tree: {kind} ({tree_leaves} leaves), {stats.total} lifts, {elapsed:.4f}s")
+        print(f"tree: {args.tree} ({tree_leaves} leaves), {stats.total} lifts, {elapsed:.4f}s")
     return EXIT_OK
 
 
 def _cross_check(g: ParityGame, args) -> int:
-    h = g.d // 2
     results: dict[str, Region] = {}
     results["zielonka"] = zielonka.solve_zielonka(g)
-    for kind in ("naive", "succinct"):
+    specs = ["naive", "succinct"]
+    if args.tree.startswith("file:"):
+        specs.append(args.tree)
+    for spec in specs:
         try:
-            tree, _, _ = _load_tree(kind, g)
+            tree = _load_tree(spec, g)
         except universal_tree.EnumerationGuardError as exc:
-            print(f"note: skipped vi-{kind}: {exc}", file=sys.stderr)
+            print(f"note: skipped vi-{spec}: {exc}", file=sys.stderr)
             continue
         _, region, _ = progress_measure.value_iteration(g, tree)
-        results[f"vi-{kind}"] = region
-    if args.tree.startswith("file:"):
-        try:
-            tree, kind, _ = _load_tree(args.tree, g)
-        except (OSError, ValueError) as exc:
-            return _fail(str(exc))
-        print("warning: tree loaded from file; universality not guaranteed",
-              file=sys.stderr)
-        _, region, _ = progress_measure.value_iteration(g, tree)
-        results[f"vi-{kind}"] = region
+        results[f"vi-{spec}"] = region
     try:
         results["brute"] = oracle.solve_bruteforce(g)
     except oracle.OracleSizeError:
@@ -171,11 +150,7 @@ def _cross_check(g: ParityGame, args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g = game_core.generate_random_game(
-            args.n, args.d, (args.min_deg, args.max_deg), args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
+    g = game_core.generate_random_game(args.n, args.d, (args.min_deg, args.max_deg), args.seed)
     text = game_core.write_pgsolver(g)
     if args.output:
         with open(args.output, "w") as fh:
@@ -186,32 +161,29 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    try:
-        if args.tree_cmd == "build":
-            if args.kind == "naive":
-                t = universal_tree.make_naive_tree(args.n, args.height)
-            else:
-                t = universal_tree.make_succinct_tree(args.n, args.height)
-            print(f"{args.kind}({args.n},{args.height}): "
-                  f"{universal_tree.leaf_count(t)} leaves")
-            if args.dump:
-                sys.stdout.write(universal_tree.dump_leaf_codes(t))
-        elif args.tree_cmd == "check":
-            codes = _read_leaf_codes(args.file)
-            t = universal_tree.tree_from_leaf_codes(codes, args.height)
-            ok, witness = universal_tree.is_universal(t, args.n, args.height)
-            if ok:
-                print(f"universal for ({args.n},{args.height})")
-            else:
-                print(f"NOT universal for ({args.n},{args.height}); witness:")
-                sys.stdout.write(universal_tree.dump_leaf_codes(witness))
-        else:  # minimal
-            size, witness = universal_tree.find_minimal_universal(args.n, args.height)
-            print(size)
-            if args.dump:
-                sys.stdout.write(universal_tree.dump_leaf_codes(witness))
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    if args.tree_cmd == "build":
+        if args.kind == "naive":
+            t = universal_tree.make_naive_tree(args.n, args.height)
+        else:
+            t = universal_tree.make_succinct_tree(args.n, args.height)
+        print(f"{args.kind}({args.n},{args.height}): "
+              f"{universal_tree.leaf_count(t)} leaves")
+        if args.dump:
+            sys.stdout.write(universal_tree.dump_leaf_codes(t))
+    elif args.tree_cmd == "check":
+        codes = _read_leaf_codes(args.file)
+        t = universal_tree.tree_from_leaf_codes(codes, args.height)
+        ok, witness = universal_tree.is_universal(t, args.n, args.height)
+        if ok:
+            print(f"universal for ({args.n},{args.height})")
+        else:
+            print(f"NOT universal for ({args.n},{args.height}); witness:")
+            sys.stdout.write(universal_tree.dump_leaf_codes(witness))
+    else:  # minimal
+        size, witness = universal_tree.find_minimal_universal(args.n, args.height)
+        print(size)
+        if args.dump:
+            sys.stdout.write(universal_tree.dump_leaf_codes(witness))
     return EXIT_OK
 
 
@@ -231,19 +203,16 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        games = [(seed, game_core.generate_random_game(
-                     args.n, args.d, (args.min_deg, args.max_deg), seed))
-                 for seed in range(args.seed, args.seed + args.count)]
-    except ValueError as exc:
-        return _fail(str(exc))
+    games = [(seed, game_core.generate_random_game(
+                 args.n, args.d, (args.min_deg, args.max_deg), seed))
+             for seed in range(args.seed, args.seed + args.count)]
     print("seed\ttree\tleaves\tlifts\tseconds")
     totals: dict[str, int] = {"naive": 0, "succinct": 0}
     skipped: set[str] = set()
     for seed, g in games:
         for kind in totals:
             try:
-                tree, _, _ = _load_tree(kind, g)
+                tree = _load_tree(kind, g)
             except universal_tree.EnumerationGuardError as exc:
                 if kind not in skipped:
                     skipped.add(kind)
@@ -326,8 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The only error boundary: bad input, unreadable
+    or unwritable files and over-deep trees end in one ``error:`` line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -59,10 +59,6 @@ class ParityGame:
     def n(self) -> int:
         return len(self.owner)
 
-    @property
-    def m(self) -> int:
-        return sum(len(s) for s in self.successors)
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -103,10 +103,6 @@ def solve_bruteforce(g: ParityGame, cap: int = DEFAULT_STRATEGY_CAP) -> Region:
     n = g.n
     eve_wins: set[int] = set()
     adam_verts = [v for v in range(n) if g.owner[v] == ADAM]
-    adam_strats = [
-        dict(zip(adam_verts, picks))
-        for picks in itertools.product(*(g.successors[v] for v in adam_verts))
-    ]
     eve_verts = [v for v in range(n) if g.owner[v] == EVE]
     nxt = [0] * n
     for picks in itertools.product(*(g.successors[v] for v in eve_verts)):
@@ -115,8 +111,9 @@ def solve_bruteforce(g: ParityGame, cap: int = DEFAULT_STRATEGY_CAP) -> Region:
         good = set(range(n)) - eve_wins
         if not good:
             break
-        for tau in adam_strats:
-            for v, w in tau.items():
+        # Adam's strategies are streamed afresh per Eve profile, never stored
+        for tau in itertools.product(*(g.successors[v] for v in adam_verts)):
+            for v, w in zip(adam_verts, tau):
                 nxt[v] = w
             wins = _winners_for_profile(g, nxt)
             good = {v for v in good if wins[v]}

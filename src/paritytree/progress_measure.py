@@ -23,7 +23,6 @@ from .game_core import ADAM, EVE, ParityGame, Region, require_valid
 from .universal_tree import (
     TOP,
     LeafCode,
-    LevelMap,
     OrderedTree,
     block_bounds,
     bound_slot,
@@ -64,8 +63,7 @@ class LiftTable:
     every tree of that height shares it: see lift_slots."""
 
     def __init__(self, h: int, d: int):
-        lm = LevelMap(d)
-        self.slot = tuple(bound_slot(h, p, lm) for p in range(d + 1))
+        self.slot = tuple(bound_slot(h, p, d) for p in range(d + 1))
 
 
 @lru_cache(maxsize=64)
@@ -97,6 +95,16 @@ def lift_value(
     return rank_to_code(tree, max(code_to_rank(tree, mu[v]), best))
 
 
+def _dominates(g: ParityGame, tree: OrderedTree, mu: list[MeasureValue], v: int, w: int) -> bool:
+    """mu(v) >=_p mu(w) at v's priority p, strictly when p is odd, read off
+    the leaf codes (not the lift's block bounds); no leaf dominates TOP."""
+    if mu[w] == TOP:
+        return False
+    p = g.priority[v]
+    cmp = compare_leaves_at(tree, mu[v], mu[w], p, g.d)
+    return cmp > 0 if p % 2 else cmp >= 0
+
+
 def validate_signature(
     g: ParityGame, tree: OrderedTree, mu: list[MeasureValue]
 ) -> tuple[bool, tuple[int, int, str] | None]:
@@ -107,24 +115,18 @@ def validate_signature(
 
     Returns (True, None) or (False, (vertex, successor, reason)).
     """
-    lm = LevelMap(g.d)
     for v in g.vertices():
         if mu[v] == TOP:
             continue
         p = g.priority[v]
-        strict = p % 2 == 1
         failure: tuple[int, int, str] | None = None
         ok_any = False
         for w in g.successors[v]:
-            if mu[w] == TOP:
-                holds = False
-            else:
-                cmp = compare_leaves_at(tree, mu[v], mu[w], p, lm)
-                holds = cmp > 0 if strict else cmp >= 0
+            holds = _dominates(g, tree, mu, v, w)
             if holds:
                 ok_any = True
             elif failure is None:
-                rel = ">" if strict else ">="
+                rel = ">" if p % 2 else ">="
                 failure = (v, w, f"mu({v}) is not {rel}_p mu({w}) at p={p}")
             if g.owner[v] == ADAM and not holds:
                 return False, (v, w, f"Adam vertex {v}: successor {w} not dominated at p={p}")
@@ -245,18 +247,12 @@ def strategy_from_measure(
     """Positional Eve strategy on her non-TOP vertices: the smallest-id
     successor witnessing the dominance condition.  Every cycle the
     strategy allows inside the non-TOP region has an even top priority."""
-    lm = LevelMap(g.d)
     choice: dict[int, int] = {}
     for v in g.vertices():
         if g.owner[v] != EVE or mu[v] == TOP:
             continue
-        p = g.priority[v]
-        strict = p % 2 == 1
         for w in sorted(g.successors[v]):
-            if mu[w] == TOP:
-                continue
-            cmp = compare_leaves_at(tree, mu[v], mu[w], p, lm)
-            if cmp > 0 if strict else cmp >= 0:
+            if _dominates(g, tree, mu, v, w):
                 choice[v] = w
                 break
         else:

@@ -124,35 +124,28 @@ def leaf_codes(t: OrderedTree):
             yield (idx,) + rest
 
 
-@dataclass(frozen=True)
-class LevelMap:
-    """Truncation depths of the p-orders for priority bound d: level(p) is
-    the number of odd priorities in [p, d], so comparing two leaves at
-    priority p compares the first level(p) entries of their codes."""
-
-    d: int
-
-    @property
-    def height(self) -> int:
-        return self.d // 2
-
-    def level(self, p: int) -> int:
-        if not 0 <= p <= self.d:
-            raise ValueError(f"priority {p} outside [0, {self.d}]")
-        return self.d // 2 - p // 2
+def level(d: int, p: int) -> int:
+    """Truncation depth of the p-order for priority bound d: the number
+    of odd priorities in [p, d], so comparing two leaves at priority p
+    compares the first level(d, p) entries of their codes."""
+    if not 0 <= p <= d:
+        raise ValueError(f"priority {p} outside [0, {d}]")
+    return d // 2 - p // 2
 
 
 def make_naive_tree(n: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
-    shared across siblings."""
+    shared across siblings.  Each level's leaf count is computed as it is
+    built, so no later call recurses through the height."""
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got ({n}, {h})")
     if n**h > leaf_cap:
         raise EnumerationGuardError(f"naive tree would have {n**h} leaves (cap {leaf_cap})")
-    level = LEAF
+    node = LEAF
     for height in range(1, h + 1):
-        level = OrderedTree(height, (level,) * n)
-    return level
+        node = OrderedTree(height, (node,) * n)
+        leaf_count(node)
+    return node
 
 
 def make_succinct_tree(n: int, h: int) -> OrderedTree:
@@ -162,6 +155,8 @@ def make_succinct_tree(n: int, h: int) -> OrderedTree:
     Its leaf count equals bounds.f_recurrence(n, h)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
+    for k in range(1, h):  # bottom-up, so the recursion stays O(log n) deep
+        _succinct_children(n, k)
     return OrderedTree(h, _succinct_children(n, h))
 
 
@@ -171,12 +166,11 @@ def _succinct_children(n: int, h: int) -> tuple[OrderedTree, ...]:
         return ()
     if h == 1:
         return (LEAF,) * n
-    if n == 1:
-        return (OrderedTree(h - 1, _succinct_children(1, h - 1)),)
-    left = _succinct_children(n // 2, h)
     middle = OrderedTree(h - 1, _succinct_children(n, h - 1))
-    right = _succinct_children(n - 1 - n // 2, h)
-    return left + (middle,) + right
+    leaf_count(middle)  # its children's counts are known, so this is one level
+    if n == 1:
+        return (middle,)
+    return _succinct_children(n // 2, h) + (middle,) + _succinct_children(n - 1 - n // 2, h)
 
 
 def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:
@@ -236,24 +230,24 @@ def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
     return (*starts, *ends)
 
 
-def bound_slot(h: int, p: int, lm: LevelMap) -> int:
+def bound_slot(h: int, p: int, d: int) -> int:
     """Index into block_bounds of the least leaf >=_p a given leaf, >_p
     when p is odd, for a tree of height h: the p-order compares the first
-    level(p) code entries, so that leaf is the start of the leaf's block
-    at depth level(p), or its end when p is odd.  An end past the last
-    leaf is TOP."""
-    keep = min(lm.level(p), h)
+    level(d, p) code entries, so that leaf is the start of the leaf's
+    block at depth level(d, p), or its end when p is odd.  An end past
+    the last leaf is TOP."""
+    keep = min(level(d, p), h)
     return keep + h + 1 if p % 2 else keep
 
 
 def compare_leaves_at(
-    t: OrderedTree, a: LeafCode, b: LeafCode, p: int, lm: LevelMap
+    t: OrderedTree, a: LeafCode, b: LeafCode, p: int, d: int
 ) -> int:
     """Compare two leaves in the p-order: numeric lexicographic comparison
-    of the codes truncated to level(p) entries.  Returns -1/0/1."""
+    of the codes truncated to level(d, p) entries.  Returns -1/0/1."""
     code_to_rank(t, a)
     code_to_rank(t, b)
-    keep = lm.level(p)
+    keep = level(d, p)
     x, y = a[:keep], b[:keep]
     return -1 if x < y else 1 if x > y else 0
 
@@ -406,12 +400,15 @@ def signature_to_tree(
     for t in tuples:
         if len(t) != h or any(not 0 <= c <= n for c in t):
             raise ValueError(f"tuple {t} is not in [0, {n}]^{h}")
+    # tuples are sorted, so a value's first appearance under a prefix comes
+    # after every smaller value there: its arrival order is its child index
+    index: dict[tuple[int, ...], dict[int, int]] = {}
     code_of: dict[tuple[int, ...], LeafCode] = {}
     for t in tuples:
         code = []
         for i in range(h):
-            siblings = sorted({u[i] for u in tuples if u[:i] == t[:i]})
-            code.append(siblings.index(t[i]))
+            seen = index.setdefault(t[:i], {})
+            code.append(seen.setdefault(t[i], len(seen)))
         code_of[t] = tuple(code)
     tree = tree_from_leaf_codes(list(code_of.values()), h) if tuples else OrderedTree(h, ())
     assignment = {

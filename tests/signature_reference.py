@@ -1,12 +1,15 @@
 """Reference classical signature from least-fixed-point stage sequences,
-and the reference order on signature tuples.
+the reference order on signature tuples, and the reference prefix tree of
+a signature.
 
 This is the stage evaluator ``zielonka.extract_signature`` used before it
 read the signature off Eve's strategy graph.  It re-solves a subgame per
 stage, so it is slow, but it follows the definition: component p of mu(v)
 is the first stage at cap p that contains v.  The tests compare the
 package against it, and compare the p-orders of ``signature_to_tree``'s
-leaves against ``tuple_compare``.
+leaves against ``tuple_compare``.  ``reference_signature_to_tree`` is
+the O(k^2 h) sibling scan ``signature_to_tree`` used before it indexed
+each prefix's values in one pass.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from paritytree.game_core import ADAM, EVE, ParityGame
-from paritytree.universal_tree import TOP
+from paritytree.universal_tree import TOP, OrderedTree, tree_from_leaf_codes
 from paritytree.zielonka import SignatureTuple, _region_and_strategy, attractor
 
 
@@ -151,3 +154,25 @@ def reference_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
     for v in eve:
         mu[v] = SignatureTuple(tuple(comp[v]))
     return mu
+
+
+def reference_signature_to_tree(
+    mu: dict[int, SignatureTuple | str], n: int, d: int
+) -> tuple[OrderedTree, dict[int, tuple[int, ...]]]:
+    """Prefix tree of the distinct non-TOP tuples and each vertex's leaf
+    code: entry i of a tuple's code is the rank of its component i among
+    the sorted values that tuples sharing its first i components hold."""
+    h = d // 2
+    tuples = sorted({m.values for m in mu.values() if m != TOP})
+    for t in tuples:
+        if len(t) != h or any(not 0 <= c <= n for c in t):
+            raise ValueError(f"tuple {t} is not in [0, {n}]^{h}")
+    code_of = {}
+    for t in tuples:
+        code = []
+        for i in range(h):
+            siblings = sorted({u[i] for u in tuples if u[:i] == t[:i]})
+            code.append(siblings.index(t[i]))
+        code_of[t] = tuple(code)
+    tree = tree_from_leaf_codes(list(code_of.values()), h) if tuples else OrderedTree(h, ())
+    return tree, {v: code_of[m.values] for v, m in mu.items() if m != TOP}

@@ -108,6 +108,16 @@ class TestSolve:
         assert "DISAGREEMENT" in captured.err
         assert "parity 1;" in captured.err  # offending game is dumped
 
+    def test_cross_check_file_tree(self, game_file, tmp_path, capsys):
+        tree_file = tmp_path / "tree.txt"
+        tree_file.write_text("0\n1\n")
+        assert main(["solve", "-i", game_file, "--cross-check",
+                     "--tree", f"file:{tree_file}"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert f"vi-file:{tree_file}\t0 1\n" in captured.out
+        assert captured.err == ("warning: tree loaded from file; universality not guaranteed, "
+                                "the computed region may under-approximate Eve's\n")
+
     @pytest.mark.parametrize("extra", [[], ["--cross-check"]])
     def test_malformed_file_tree(self, game_file, tmp_path, capsys, extra):
         tree_file = tmp_path / "tree.txt"
@@ -133,6 +143,13 @@ class TestSolve:
         assert main(["solve", "-i", str(path)]) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    def test_deep_priority(self, tmp_path, capsys):
+        # largest priority 5000: a succinct tree of height 2500
+        path = tmp_path / "deep.pg"
+        path.write_text("parity 1;\n0 5000 0 1;\n1 0 1 0;\n")
+        assert main(["solve", "-i", str(path)]) == EXIT_OK
+        assert "Eve wins:  {0 1}" in capsys.readouterr().out
+
     def test_single_vertex_game(self, tmp_path, capsys):
         path = tmp_path / "one.pg"
         path.write_text("parity 0;\n0 0 0 0;\n")
@@ -155,6 +172,12 @@ class TestGen:
     def test_infeasible(self, capsys):
         assert main(["gen", "--n", "1", "--d", "2", "--min-deg", "2",
                      "--max-deg", "2"]) == EXIT_INPUT
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "g.pg"
+        assert main(["gen", "--n", "3", "--d", "2", "-o", str(target)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{target}'\n")
 
 
 class TestTree:
@@ -196,6 +219,18 @@ class TestTree:
         assert main(["tree", "build", "--kind", "succinct",
                      "--n", "10000", "--h", "10"]) == EXIT_OK
         assert capsys.readouterr().out == "succinct(10000,10): 2575326157 leaves\n"
+
+    @pytest.mark.parametrize("kind, n, leaves", [("naive", 1, 1), ("succinct", 3, 6001)])
+    def test_build_deep(self, capsys, kind, n, leaves):
+        assert main(["tree", "build", "--kind", kind, "--n", str(n), "--h", "3000"]) == EXIT_OK
+        assert capsys.readouterr().out == f"{kind}({n},3000): {leaves} leaves\n"
+
+    def test_minimal_too_deep(self, capsys):
+        assert main(["tree", "minimal", "--n", "2", "--h", "3000"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
 
     def test_malformed_codes_file(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"

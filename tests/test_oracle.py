@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from paritytree.game_core import ADAM, EVE, EVEN, ODD, ParityGame
@@ -72,3 +74,20 @@ def test_play_outcome():
     assert play_outcome(g, sigma, tau, 0) == EVEN  # absorbed in the 2-loop
     sigma = PositionalStrategy({0: 0})
     assert play_outcome(g, sigma, tau, 0) == ODD  # stuck in the 1-loop
+
+
+def test_adam_strategies_are_streamed():
+    # a ring of one Eve vertex and k Adam vertices with a skip edge each:
+    # every cycle is even, so all 2^k Adam strategies are tried, one at a time
+    k = 14
+    n = k + 1
+    g = make(2, [EVE] + [ADAM] * k, [0] * n,
+             [(1,)] + [((v + 1) % n, (v + 2) % n) for v in range(1, n)])
+    tracemalloc.start()
+    try:
+        region = solve_bruteforce(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert region.eve_wins == frozenset(range(n))
+    assert peak < 1 << 20

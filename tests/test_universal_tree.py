@@ -1,15 +1,15 @@
 import random
+import time
 
 import pytest
 
 from paritytree.bounds import f_recurrence
-from paritytree.game_core import EVE, ParityGame
+from paritytree.game_core import EVE, ParityGame, generate_random_game
 from paritytree.progress_measure import lift_value, value_leq
 from paritytree.universal_tree import (
     LEAF,
     TOP,
     EnumerationGuardError,
-    LevelMap,
     OrderedTree,
     block_bounds,
     code_to_rank,
@@ -22,6 +22,7 @@ from paritytree.universal_tree import (
     is_universal,
     leaf_codes,
     leaf_count,
+    level,
     make_naive_tree,
     make_succinct_tree,
     rank_to_code,
@@ -29,8 +30,8 @@ from paritytree.universal_tree import (
     tree_from_leaf_codes,
     validate_tree,
 )
-from paritytree.zielonka import SignatureTuple
-from signature_reference import tuple_compare
+from paritytree.zielonka import SignatureTuple, extract_signature
+from signature_reference import reference_signature_to_tree, tuple_compare
 
 
 class TestShape:
@@ -175,38 +176,35 @@ class TestRanks:
         assert block_bounds(self.T, 3) == (3,) * 6
 
 
-class TestLevelMap:
+class TestLevel:
     def test_levels(self):
-        lm = LevelMap(6)
-        assert lm.height == 3
-        assert [lm.level(p) for p in range(7)] == [3, 3, 2, 2, 1, 1, 0]
+        assert [level(6, p) for p in range(7)] == [3, 3, 2, 2, 1, 1, 0]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            LevelMap(4).level(5)
+            level(4, 5)
 
 
 class TestCompare:
     def test_truncated_lexicographic(self):
         t = make_naive_tree(3, 2)
-        lm = LevelMap(4)
-        assert compare_leaves_at(t, (0, 2), (1, 0), 1, lm) == -1
-        assert compare_leaves_at(t, (0, 2), (1, 0), 3, lm) == -1
-        assert compare_leaves_at(t, (1, 2), (1, 0), 3, lm) == 0
-        assert compare_leaves_at(t, (1, 2), (1, 0), 1, lm) == 1
-        assert compare_leaves_at(t, (1, 2), (1, 0), 4, lm) == 0
+        assert compare_leaves_at(t, (0, 2), (1, 0), 1, 4) == -1
+        assert compare_leaves_at(t, (0, 2), (1, 0), 3, 4) == -1
+        assert compare_leaves_at(t, (1, 2), (1, 0), 3, 4) == 0
+        assert compare_leaves_at(t, (1, 2), (1, 0), 1, 4) == 1
+        assert compare_leaves_at(t, (1, 2), (1, 0), 4, 4) == 0
 
     def test_rejects_foreign_code(self):
         t = make_naive_tree(2, 2)
         with pytest.raises(ValueError):
-            compare_leaves_at(t, (2, 0), (0, 0), 1, LevelMap(4))
+            compare_leaves_at(t, (2, 0), (0, 0), 1, 4)
 
 
-def scan_min_geq(t, target, p, strict, lm):
+def scan_min_geq(t, target, p, strict, d):
     """Linear-scan oracle for the least leaf >=_p the target (>_p when
     strict)."""
     for code in leaf_codes(t):  # increasing order
-        cmp = compare_leaves_at(t, code, target, p, lm)
+        cmp = compare_leaves_at(t, code, target, p, d)
         if cmp > 0 or (not strict and cmp == 0):
             return code
     return TOP
@@ -216,14 +214,13 @@ def reference_fixed_point(g, t):
     """Least fixed point of the leaf-code lift, by round-robin passes with
     the linear-scan oracle: Eve's minimum, Adam's maximum, joined with the
     current value."""
-    lm = LevelMap(g.d)
     mu = [(0,) * t.height] * g.n
     changed = True
     while changed:
         changed = False
         for v in g.vertices():
             p = g.priority[v]
-            options = [TOP if mu[w] == TOP else scan_min_geq(t, mu[w], p, p % 2 == 1, lm)
+            options = [TOP if mu[w] == TOP else scan_min_geq(t, mu[w], p, p % 2 == 1, g.d)
                        for w in g.successors[v]]
             best = options[0]
             for o in options[1:]:
@@ -249,13 +246,13 @@ class TestMinLeafGeq:
         trees = [make_naive_tree(3, 2), make_succinct_tree(5, 2),
                  make_succinct_tree(6, 3), make_naive_tree(2, 3)]
         for t in trees:
-            lm = LevelMap(2 * t.height)
+            d = 2 * t.height
             codes = list(leaf_codes(t))
             for _ in range(300):
                 target = rng.choice(codes)
-                p = rng.randint(0, lm.d)
-                assert lift_onto(t, target, p, lm.d) == \
-                    scan_min_geq(t, target, p, p % 2 == 1, lm), (t.height, target, p)
+                p = rng.randint(0, d)
+                assert lift_onto(t, target, p, d) == \
+                    scan_min_geq(t, target, p, p % 2 == 1, d), (t.height, target, p)
 
     def test_top_absorbs(self):
         t = make_naive_tree(2, 1)
@@ -388,13 +385,12 @@ class TestSignatureToTree:
         }
         tree, codes = signature_to_tree(mu, 3, 4)
         assert 3 not in codes
-        lm = LevelMap(4)
         vs = [v for v in mu if v != 3]
         for p in range(5):
             for a in vs:
                 for b in vs:
                     want = tuple_compare(mu[a], mu[b], p, 4)
-                    got = compare_leaves_at(tree, codes[a], codes[b], p, lm)
+                    got = compare_leaves_at(tree, codes[a], codes[b], p, 4)
                     assert got == want, (a, b, p)
 
     def test_shared_tuples_share_leaves(self):
@@ -415,3 +411,20 @@ class TestSignatureToTree:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             signature_to_tree({0: SignatureTuple((1,))}, 2, 4)
+
+    def test_matches_sibling_scan_reference(self):
+        for seed in range(60):
+            g = generate_random_game(3 + 7 * (seed % 20), 2 + 2 * (seed % 6), (1, 3), seed)
+            mu = extract_signature(g)
+            assert signature_to_tree(mu, g.n, g.d) == \
+                reference_signature_to_tree(mu, g.n, g.d), seed
+
+    def test_many_distinct_tuples(self):
+        # 1,408 distinct tuples of length 20; the sibling scan took ~10 s here
+        g = generate_random_game(10_000, 40, (1, 3), 7)
+        mu = extract_signature(g)
+        started = time.perf_counter()
+        tree, codes = signature_to_tree(mu, g.n, g.d)
+        assert time.perf_counter() - started < 5
+        assert leaf_count(tree) == len({m.values for m in mu.values() if m != TOP})
+        assert len(codes) == sum(m != TOP for m in mu.values())

@@ -11,7 +11,6 @@ from paritytree.game_core import ADAM, EVE, ParityGame
 from paritytree.progress_measure import value_iteration
 from paritytree.universal_tree import (
     TOP,
-    LevelMap,
     code_to_rank,
     embed,
     enumerate_trees,
@@ -58,11 +57,11 @@ def test_ranks_follow_the_leaf_order(t):
 @hypothesis.given(trees(), st.data())
 def test_least_leaf_geq_matches_scan(t, data):
     # d may exceed 2h, so level(p) can pass the tree's height
-    lm = LevelMap(2 * t.height + data.draw(st.sampled_from((0, 2))))
+    d = 2 * t.height + data.draw(st.sampled_from((0, 2)))
     for target in list(leaf_codes(t)) + [TOP]:
-        for p in range(lm.d + 1):
-            want = TOP if target == TOP else scan_min_geq(t, target, p, p % 2 == 1, lm)
-            assert lift_onto(t, target, p, lm.d) == want, (target, p)
+        for p in range(d + 1):
+            want = TOP if target == TOP else scan_min_geq(t, target, p, p % 2 == 1, d)
+            assert lift_onto(t, target, p, d) == want, (target, p)
 
 
 @st.composite
