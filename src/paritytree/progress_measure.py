@@ -9,6 +9,8 @@ TOP = |T|.  One rule gives every option: the least leaf >=_p a value (>_p
 at odd p) is the start (or end) of the value's block at depth level(p),
 one slot of universal_tree.block_bounds.  Which slot depends only on the
 tree's height and the game's d, so the slots are memoised per (h, d).
+The bounds themselves are memoised per tree, in OrderedTree.bounds: every
+game solved on one tree object shares them, and they go with the tree.
 """
 
 from __future__ import annotations
@@ -155,8 +157,10 @@ def value_iteration(
     vertices).  All policies reach the same fixed point.
 
     The loop runs on leaf ranks and returns leaf codes.  Each vertex holds
-    the block bounds of its value, so a successor's option is one lookup;
-    bounds are computed once per distinct rank reached in this call.
+    the block bounds of its value, so a successor's option is one lookup.
+    Bounds come from the tree's memo (OrderedTree.bounds): each is computed
+    once per distinct rank reached on this tree object, in this call or an
+    earlier one, and kept as long as the tree.
     """
     require_valid(g)
     if policy not in POLICIES:
@@ -167,8 +171,10 @@ def value_iteration(
     if not leaf_count(tree):
         raise ValueError("the tree has no leaves")
     mu = [code_to_rank(tree, c) for c in initial] if initial is not None else [0] * n
-    # block bounds of each rank reached in this call
-    bounds_of = {rank: block_bounds(tree, rank) for rank in set(mu)}
+    bounds_of = tree.bounds
+    for rank in set(mu):
+        if rank not in bounds_of:
+            bounds_of[rank] = block_bounds(tree, rank)
     held = list(map(bounds_of.__getitem__, mu))
     slot = list(map(lift_slots(tree.height, g.d).__getitem__, g.priority))
     owner, successors = g.owner, g.successors

@@ -62,6 +62,15 @@ class OrderedTree:
         return tuple(itertools.accumulate(map(leaf_count, reversed(self.children)), initial=0))
 
     @cached_property
+    def bounds(self) -> dict[int, tuple[int, ...]]:
+        """Memo of block_bounds by rank, filled by value_iteration and
+        shared by every game solved on this tree.  It holds at most
+        leaf_count + 1 entries, one per rank and TOP, and lives as long as
+        this node object; it is not a field, so equality, hashing and repr
+        ignore it."""
+        return {}
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.height, self.children))
 
@@ -114,14 +123,18 @@ def leaf_count(t: OrderedTree) -> int:
 
 
 def leaf_codes(t: OrderedTree):
-    """All leaf codes in increasing order (rightmost leaf first)."""
-    if t.height == 0:
-        yield ()
-        return
-    deg = len(t.children)
-    for idx in range(deg):
-        for rest in leaf_codes(t.children[deg - 1 - idx]):
-            yield (idx,) + rest
+    """All leaf codes in increasing order (rightmost leaf first).  The walk
+    keeps its own stack, so it does not recurse through the height."""
+    stack = [((), t)]
+    while stack:
+        code, node = stack.pop()
+        if node.height == 0:
+            yield code
+            continue
+        deg = len(node.children)
+        # index 0 (the rightmost child) goes on top, so it comes out first
+        stack.extend((code + (idx,), node.children[deg - 1 - idx])
+                     for idx in range(deg - 1, -1, -1))
 
 
 def level(d: int, p: int) -> int:
@@ -423,27 +436,34 @@ def dump_leaf_codes(t: OrderedTree) -> str:
 
 def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:
     """Rebuild the unique tree whose leaf-code set is ``codes``; raises
-    ValueError if the set is inconsistent (gaps or depth mismatches)."""
+    ValueError if the set is inconsistent (gaps or depth mismatches).
+
+    Built bottom-up, one depth at a time: the nodes at depth k are keyed
+    by their codes' first k entries, in decreasing order, so each node's
+    children arrive left to right.  The leaf counts of every 100th depth
+    are computed as it is built, so a later count recurses through at
+    most 100 levels; shallow trees, most of those read, skip the cost."""
     code_set = set(codes)
     if not code_set:
         raise ValueError("no leaf codes given")
     for c in code_set:
         if len(c) != h:
             raise ValueError(f"code {c} has depth {len(c)}, expected {h}")
-
-    def build(group: set[LeafCode], depth: int) -> OrderedTree:
-        if depth == h:
-            if group != {()}:
-                raise ValueError("inconsistent codes below a leaf")
-            return LEAF
-        by_index: dict[int, set[LeafCode]] = {}
-        for c in group:
-            by_index.setdefault(c[0], set()).add(c[1:])
-        deg = max(by_index) + 1
-        if set(by_index) != set(range(deg)):
-            raise ValueError(f"missing child index at depth {depth + 1}")
-        # index 0 is the rightmost child
-        children = tuple(build(by_index[idx], depth + 1) for idx in range(deg - 1, -1, -1))
-        return OrderedTree(h - depth, children)
-
-    return build(code_set, 0)
+    level: dict[LeafCode, OrderedTree] = dict.fromkeys(sorted(code_set, reverse=True), LEAF)
+    gaps = []
+    for depth in range(h, 0, -1):
+        by_parent: dict[LeafCode, dict[int, OrderedTree]] = {}
+        for code, node in level.items():
+            by_parent.setdefault(code[:-1], {})[code[-1]] = node
+        level = {}
+        for prefix, by_index in by_parent.items():
+            if min(by_index) != 0 or max(by_index) != len(by_index) - 1:
+                gaps.append(prefix)
+            node = level[prefix] = OrderedTree(h - depth + 1, tuple(by_index.values()))
+            if depth % 100 == 0:
+                leaf_count(node)
+    if gaps:
+        # the gap a depth-first walk from the leftmost child meets first
+        first = min(gaps, key=lambda prefix: [-idx for idx in prefix])
+        raise ValueError(f"missing child index at depth {len(first) + 1}")
+    return level[()]

@@ -1,8 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from paritytree import zielonka
+from paritytree import cli, zielonka
 from paritytree.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, main
 from paritytree.game_core import generate_random_game, write_pgsolver
 
@@ -150,6 +153,20 @@ class TestSolve:
         assert main(["solve", "-i", str(path)]) == EXIT_OK
         assert "Eve wins:  {0 1}" in capsys.readouterr().out
 
+    def test_deep_file_tree(self, tmp_path, capsys):
+        # one leaf at depth 2500, read bottom-up and solved without recursing
+        path = tmp_path / "deep.pg"
+        path.write_text("parity 1;\n0 5000 0 1;\n1 0 1 0;\n")
+        tree_file = tmp_path / "deep.txt"
+        tree_file.write_text(",".join(["0"] * 2500) + "\n")
+        assert main(["solve", "-i", str(path), "--tree", f"file:{tree_file}"]) == EXIT_OK
+        from_file = capsys.readouterr()
+        assert from_file.err.startswith("warning: tree loaded from file")
+        assert main(["solve", "-i", str(path), "--tree", "succinct"]) == EXIT_OK
+        succinct = capsys.readouterr().out
+        assert "Eve wins:  {0 1}" in from_file.out
+        assert from_file.out.splitlines()[:2] == succinct.splitlines()[:2]
+
     def test_single_vertex_game(self, tmp_path, capsys):
         path = tmp_path / "one.pg"
         path.write_text("parity 0;\n0 0 0 0;\n")
@@ -225,6 +242,13 @@ class TestTree:
         assert main(["tree", "build", "--kind", kind, "--n", str(n), "--h", "3000"]) == EXIT_OK
         assert capsys.readouterr().out == f"{kind}({n},3000): {leaves} leaves\n"
 
+    def test_dump_deep(self, capsys):
+        assert main(["tree", "build", "--kind", "naive", "--n", "1", "--h", "3000",
+                     "--dump"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "naive(1,3000): 1 leaves\n" + ",".join(["0"] * 3000) + "\n"
+        assert captured.err == ""
+
     def test_minimal_too_deep(self, capsys):
         assert main(["tree", "minimal", "--n", "2", "--h", "3000"]) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -284,6 +308,42 @@ class TestBench:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(message)
 
+    def test_output_pinned(self, capsys):
+        # seeds 5 and 8 reach largest priority 2, the others 4, so each kind
+        # is solved on trees of two heights
+        assert main(["bench", "--count", "6", "--n", "4", "--d", "4",
+                     "--seed", "5"]) == EXIT_OK
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        for row in rows[1:-2]:
+            float(row[4])
+            row[4] = "S"
+        assert ["\t".join(row) for row in rows] == [
+            "seed\ttree\tleaves\tlifts\tseconds",
+            "5\tnaive\t4\t9\tS", "5\tsuccinct\t4\t9\tS",
+            "6\tnaive\t16\t3\tS", "6\tsuccinct\t8\t3\tS",
+            "7\tnaive\t16\t0\tS", "7\tsuccinct\t8\t0\tS",
+            "8\tnaive\t4\t16\tS", "8\tsuccinct\t4\t16\tS",
+            "9\tnaive\t16\t16\tS", "9\tsuccinct\t8\t8\tS",
+            "10\tnaive\t16\t24\tS", "10\tsuccinct\t8\t15\tS",
+            "total\tnaive\t\t68\t", "total\tsuccinct\t\t51\t"]
+
+    def test_loads_each_tree_once(self, capsys, monkeypatch):
+        loaded = []
+        load = cli._load_tree
+
+        def counting(spec, g):
+            loaded.append((spec, g.d))
+            return load(spec, g)
+
+        monkeypatch.setattr(cli, "_load_tree", counting)
+        assert main(["bench", "--count", "30", "--n", "30", "--d", "10"]) == EXIT_OK
+        assert loaded == [("naive", 10), ("succinct", 10)]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("note: skipped naive:")
+        assert len(captured.out.splitlines()) == 1 + 30 + 2
+        assert main(["bench", "--count", "6", "--n", "4", "--d", "4", "--seed", "5"]) == EXIT_OK
+        assert loaded[2:] == [("naive", 2), ("succinct", 2), ("naive", 4), ("succinct", 4)]
+
     def test_skips_oversized_naive_tree(self, capsys):
         assert main(["bench", "--count", "2", "--n", "40", "--d", "8"]) == EXIT_OK
         captured = capsys.readouterr()
@@ -293,3 +353,33 @@ class TestBench:
         assert rows == [["0", "succinct"], ["1", "succinct"],
                         ["total", "naive"], ["total", "succinct"]]
         assert captured.out.splitlines()[-2] == "total\tnaive\t\t0\t"
+
+
+class TestExitCodes:
+    def test_usage_error_exits_1(self, capsys):
+        assert main(["gen", "--n", "x", "--d", "2"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: paritytree gen")
+        assert err.endswith("error: argument --n: invalid int value: 'x'\n")
+        assert main(["solve"]) == EXIT_INPUT
+        assert main(["nosuchcommand"]) == EXIT_INPUT
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: paritytree")
+
+    def test_process_exit_codes(self, tmp_path):
+        # usage error 1, disagreement 2, as a shell sees them
+        game, tree = tmp_path / "game.pg", tmp_path / "tiny.txt"
+        game.write_text(GAME)
+        tree.write_text("0\n")  # a single leaf is not (2,1)-universal
+
+        def run(*args):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+            return subprocess.run([sys.executable, "-m", "paritytree.cli", *args],
+                                  capture_output=True, text=True, env=env).returncode
+
+        assert run("gen", "--n", "x", "--d", "2") == EXIT_INPUT == 1
+        assert run("solve", "-i", str(game), "--cross-check",
+                   "--tree", f"file:{tree}") == EXIT_DISAGREE == 2
+        assert run("--help") == EXIT_OK == 0

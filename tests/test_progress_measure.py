@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -11,8 +12,10 @@ from paritytree.game_core import (
     classify_cycle,
     generate_random_game,
 )
+from paritytree import progress_measure
 from paritytree.oracle import solve_bruteforce
 from paritytree.progress_measure import (
+    POLICIES,
     lift_value,
     strategy_from_measure,
     validate_signature,
@@ -22,10 +25,12 @@ from paritytree.progress_measure import (
 )
 from paritytree.universal_tree import (
     TOP,
+    block_bounds,
     leaf_codes,
     leaf_count,
     make_naive_tree,
     make_succinct_tree,
+    tree_from_leaf_codes,
 )
 from paritytree.zielonka import solve_zielonka
 from test_universal_tree import reference_fixed_point
@@ -165,8 +170,11 @@ class TestValueIteration:
 
     def test_trees_of_one_height_share_no_state(self):
         # naive (9 leaves) and succinct (5 leaves) trees of height 2 share
-        # their (h, d) slots and nothing else, whichever runs first
+        # their (h, d) slots and nothing else, whichever runs first; two
+        # trees of one shape share no bounds memo either
         naive, succinct = make_naive_tree(3, 2), make_succinct_tree(3, 2)
+        twin = make_succinct_tree(3, 2)
+        assert twin == succinct and twin.bounds is not succinct.bounds
         games = [make(4, [EVE], [1], [(0,)])] + [
             generate_random_game(3, 4, (1, 2), seed) for seed in range(30)]
         for g in games:
@@ -177,9 +185,74 @@ class TestValueIteration:
                 assert mu == reference_fixed_point(g, tree), (g, size)
                 assert region == expected, g
                 assert totals.setdefault(size, stats.total) == stats.total <= g.n * size
+        assert twin.bounds == {}
+        assert naive.bounds.keys() - range(10) == set()
+        assert succinct.bounds.keys() - range(6) == set()
         # the odd self-loop walks every leaf of the tree it was given
-        for tree in (naive, succinct, naive):
+        for tree in (naive, succinct, naive, twin):
             assert value_iteration(games[0], tree)[2].total == leaf_count(tree)
+        assert twin.bounds == succinct.bounds and twin.bounds is not succinct.bounds
+
+
+class TestTreeMemo:
+    """The block-bounds memo each tree carries (OrderedTree.bounds)."""
+
+    @staticmethod
+    def trees():
+        # a tree read from leaf codes, as `--tree file:PATH` does, with
+        # children of unequal size
+        irregular = tree_from_leaf_codes([(0, 0), (1, 0), (1, 1), (1, 2), (2, 0)], 2)
+        return [make_naive_tree(3, 2), make_succinct_tree(4, 2),
+                tree_from_leaf_codes(list(leaf_codes(make_succinct_tree(4, 3))), 3),
+                irregular]
+
+    def test_entries_equal_block_bounds(self):
+        for tree in self.trees():
+            for seed in range(40):
+                g = generate_random_game(2 + seed % 3, 2 * tree.height, (1, 2), seed)
+                if g.d // 2 == tree.height:
+                    value_iteration(g, tree, policy=POLICIES[seed % 3], seed=seed)
+            assert len(tree.bounds) > 2
+            assert tree.bounds.keys() <= set(range(leaf_count(tree) + 1))
+            for rank, held in tree.bounds.items():
+                assert held == block_bounds(tree, rank), (tree, rank)
+
+    def test_leaves_equality_hash_and_repr_alone(self):
+        used, fresh = make_succinct_tree(4, 2), make_succinct_tree(4, 2)
+        value_iteration(generate_random_game(4, 4, (1, 2), 3), used)
+        assert used.bounds and not fresh.bounds
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "bounds" not in repr(used)
+
+    def test_reused_tree_matches_fresh_tree_per_game(self):
+        shared = {h: make_succinct_tree(6, h) for h in (1, 2, 3)}
+        for seed in range(300):
+            g = generate_random_game(6, 6, (1, 3), seed)
+            h = g.d // 2
+            got = value_iteration(g, shared[h])
+            want = value_iteration(g, make_succinct_tree(6, h))
+            assert got[0] == want[0] and got[1] == want[1], seed
+            assert got[2].total == want[2].total and got[2].per_vertex == want[2].per_vertex
+
+    def test_second_solve_on_a_tree_makes_no_descent(self, monkeypatch):
+        g = generate_random_game(6, 6, (1, 2), 4)
+        tree = make_succinct_tree(6, g.d // 2)
+        first = value_iteration(g, tree)
+        descents = []
+        monkeypatch.setattr(progress_measure, "block_bounds",
+                            lambda t, rank: descents.append(rank))
+        again = value_iteration(g, tree)
+        assert again[:2] == first[:2] and again[2].total == first[2].total > 0
+        assert descents == []
+
+    def test_memo_goes_with_the_tree(self):
+        tree = make_succinct_tree(5, 3)
+        value_iteration(generate_random_game(5, 6, (1, 2), 1), tree)
+        assert tree.bounds
+        ref = weakref.ref(tree)
+        del tree
+        assert ref() is None
 
 
 class TestValidateSignature:

@@ -140,6 +140,14 @@ class TestLeafCodes:
         with pytest.raises(ValueError):
             tree_from_leaf_codes([(0,), (2,)], 1)
 
+    def test_deep_codes_round_trip(self):
+        # built bottom-up and walked with a stack: nothing recurses per level
+        codes = [(0,) * 3000, (0,) * 2999 + (1,), (1,) + (0,) * 2999]
+        t = tree_from_leaf_codes(codes, 3000)
+        assert leaf_count(t) == 3
+        assert list(leaf_codes(t)) == sorted(codes)
+        assert [code_to_rank(t, c) for c in sorted(codes)] == [0, 1, 2]
+
     def test_tree_from_codes_rejects_depth_mismatch(self):
         with pytest.raises(ValueError):
             tree_from_leaf_codes([(0, 0), (1,)], 2)
