@@ -2,13 +2,12 @@
 (realized by the succinct construction), the lower-bound recurrence g,
 their closed-form binomial bounds, and the ratio check relating them.
 
-Everything here is exact arbitrary-precision integer arithmetic; the
-ratio check uses exact rationals.  No floating point.
+Everything here is exact arbitrary-precision integer arithmetic, the
+ratio check included.  No floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -67,41 +66,23 @@ def g_lower_closed(n: int, h: int) -> int:
     return comb(p + h - 1, p)
 
 
-def _fbar(p: int, h: int) -> int:
-    # recurrence form of the power-of-two upper envelope
-    table = {}
-    for pp in range(p + 1):
-        for hh in range(1, h + 1):
-            if pp == 0:
-                table[pp, hh] = 1
-            elif hh == 1:
-                table[pp, hh] = 2**pp
-            else:
-                table[pp, hh] = table[pp, hh - 1] + 2 * table[pp - 1, hh]
-    return table[p, h]
-
-
-def _gbar(p: int, h: int) -> int:
-    table = {}
-    for pp in range(p + 1):
-        for hh in range(1, h + 1):
-            if pp == 0 or hh == 1:
-                table[pp, hh] = 1
-            else:
-                table[pp, hh] = table[pp, hh - 1] + table[pp - 1, hh]
-    return table[p, h]
-
-
 def check_closed_forms(p_max: int, h_max: int) -> list[str]:
     """Verify, by direct recurrence iteration, that the upper envelope
-    equals 2^p * C(p+h-1, p) and the lower envelope equals C(p+h-1, p),
-    and that f(2^p, h) / g(2^p, h) sit on the right sides of them.
+    Fbar(p, h) = Fbar(p, h-1) + 2 Fbar(p-1, h) equals 2^p * C(p+h-1, p),
+    that the lower envelope Gbar(p, h) = Gbar(p, h-1) + Gbar(p-1, h)
+    equals C(p+h-1, p), and that f(2^p, h) / g(2^p, h) sit on the right
+    sides of them.  Both envelopes are filled once, row by row, from a
+    zero row p = -1 and a column h = 0 that is 1 at p = 0 and 0 below it.
     Returns the list of violations (expected empty)."""
     violations = []
+    fprev = gprev = [0] * (h_max + 1)
     for p in range(p_max + 1):
+        frow, grow = [int(p == 0)], [int(p == 0)]
         for h in range(1, h_max + 1):
-            fbar = _fbar(p, h)
-            gbar = _gbar(p, h)
+            fbar = frow[h - 1] + 2 * fprev[h]
+            gbar = grow[h - 1] + gprev[h]
+            frow.append(fbar)
+            grow.append(gbar)
             if fbar != 2**p * comb(p + h - 1, p):
                 violations.append(f"Fbar({p},{h}) = {fbar} != 2^p*C(p+h-1,p)")
             if gbar != comb(p + h - 1, p):
@@ -110,17 +91,18 @@ def check_closed_forms(p_max: int, h_max: int) -> list[str]:
                 violations.append(f"f(2^{p},{h}) exceeds Fbar({p},{h})")
             if g_recurrence(2**p, h) < gbar:
                 violations.append(f"g(2^{p},{h}) below Gbar({p},{h})")
+        fprev, gprev = frow, grow
     return violations
 
 
 def check_ratio(n_max: int, h_max: int) -> list[str]:
     """Check f(n,h) <= g(n,h) * 2^ceil(log n) * (floor(log n) + h) / floor(log n)
-    on the grid, in exact rational arithmetic.  n starts at 2 (the factor
-    divides by floor(log n), which is zero at n = 1)."""
+    on the grid, multiplied through by floor(log n) so it is an integer
+    comparison.  n starts at 2 (floor(log n) is zero at n = 1)."""
     violations = []
     for n in range(2, n_max + 1):
+        lo = _floor_log2(n)
         for h in range(1, h_max + 1):
-            factor = 2 ** _ceil_log2(n) * Fraction(_floor_log2(n) + h, _floor_log2(n))
-            if f_recurrence(n, h) > g_recurrence(n, h) * factor:
+            if f_recurrence(n, h) * lo > g_recurrence(n, h) * 2 ** _ceil_log2(n) * (lo + h):
                 violations.append(f"ratio bound fails at ({n},{h})")
     return violations

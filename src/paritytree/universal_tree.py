@@ -24,15 +24,11 @@ LeafCode = tuple[int, ...]
 
 ENUM_CAP_ENV = "PARITYTREE_ENUM_CAP"
 DEFAULT_ENUM_CAP = 5_000_000
-DEFAULT_LEAF_CAP = 1_000_000
+NAIVE_LEAF_CAP = 1_000_000
 
 
 class EnumerationGuardError(ValueError):
     """A brute-force enumeration would exceed the configured ceiling."""
-
-
-def enumeration_cap() -> int:
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
 
 
 @dataclass(frozen=True)
@@ -107,14 +103,22 @@ LEAF = OrderedTree(0)
 
 def validate_tree(t: OrderedTree) -> None:
     """Raise ValueError unless every child sits one level down and every
-    internal node below the root has at least one child."""
-    for child in t.children:
-        if child.height != t.height - 1:
+    internal node below the root has at least one child.  The child edges
+    are checked depth first, left to right, with an explicit stack; a
+    shared node is descended into only the first time it is met, so the
+    cost is O(edges of distinct nodes) whatever the height."""
+    seen: set[int] = set()
+    stack = [(t, child) for child in reversed(t.children)]
+    while stack:
+        parent, child = stack.pop()
+        if child.height != parent.height - 1:
             raise ValueError(
-                f"child of height {child.height} under node of height {t.height}")
+                f"child of height {child.height} under node of height {parent.height}")
         if child.height > 0 and not child.children:
             raise ValueError("empty internal node below the root")
-        validate_tree(child)
+        if id(child) not in seen:
+            seen.add(id(child))
+            stack.extend((child, grandchild) for grandchild in reversed(child.children))
 
 
 def leaf_count(t: OrderedTree) -> int:
@@ -146,14 +150,14 @@ def level(d: int, p: int) -> int:
     return d // 2 - p // 2
 
 
-def make_naive_tree(n: int, h: int, leaf_cap: int = DEFAULT_LEAF_CAP) -> OrderedTree:
+def make_naive_tree(n: int, h: int) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
     shared across siblings.  Each level's leaf count is computed as it is
     built, so no later call recurses through the height."""
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got ({n}, {h})")
-    if n**h > leaf_cap:
-        raise EnumerationGuardError(f"naive tree would have {n**h} leaves (cap {leaf_cap})")
+    if n**h > NAIVE_LEAF_CAP:
+        raise EnumerationGuardError(f"naive tree would have {n**h} leaves (cap {NAIVE_LEAF_CAP})")
     node = LEAF
     for height in range(1, h + 1):
         node = OrderedTree(height, (node,) * n)
@@ -321,18 +325,21 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
 
 @lru_cache(maxsize=None)
 def count_trees(n_leaves: int, h: int) -> int:
-    """Number of ordered trees with exactly n_leaves leaves, all at depth h."""
+    """Number of ordered trees with exactly n_leaves leaves, all at depth h.
+
+    Counted, not enumerated: a height-k tree is a nonempty sequence of
+    height-(k-1) trees, so one table per height, indexed by total leaves,
+    gives the next from the last.  O(n_leaves^2 * h) big-integer products."""
     if n_leaves < 1 or h < 1:
         raise ValueError(f"need n_leaves >= 1 and h >= 1, got ({n_leaves}, {h})")
-    if h == 1:
-        return 1
-    total = 0
-    for comp in _compositions(n_leaves):
-        prod = 1
-        for part in comp:
-            prod *= count_trees(part, h - 1)
-        total += prod
-    return total
+    trees = [0] + [1] * n_leaves  # height 1: one tree per leaf count
+    for _ in range(h - 1):
+        seqs = [1] + [0] * n_leaves  # sequences by total leaves; one empty one
+        for m in range(1, n_leaves + 1):
+            seqs[m] = sum(trees[k] * seqs[m - k] for k in range(1, m + 1))
+        seqs[0] = 0  # a tree has at least one child
+        trees = seqs
+    return trees[n_leaves]
 
 
 def _compositions(n: int):
@@ -360,7 +367,8 @@ def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
     """Stream every ordered height-h tree with exactly n_leaves leaves,
     each once, in a deterministic order.  Guarded by the enumeration cap
     (override via the PARITYTREE_ENUM_CAP environment variable)."""
-    cap = enumeration_cap() if cap is None else cap
+    if cap is None:
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     total = count_trees(n_leaves, h)
     if total > cap:
         raise EnumerationGuardError(
@@ -368,30 +376,28 @@ def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
     yield from _all_trees(n_leaves, h)
 
 
-def is_universal(t: OrderedTree, n: int, h: int,
-                 cap: int | None = None) -> tuple[bool, OrderedTree | None]:
+def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | None]:
     """Brute-force universality check: every tree with exactly n leaves
     must embed (checking exactly-n trees suffices).  On failure, returns
     the first non-embeddable witness."""
     if t.height != h:
         raise ValueError(f"tree height {t.height} != h = {h}")
     memo: dict[tuple[int, int], bool] = {}
-    for shape in enumerate_trees(n, h, cap):
+    for shape in enumerate_trees(n, h):
         if not _embeds(shape, t, memo):
             return False, shape
     return True, None
 
 
-def find_minimal_universal(n: int, h: int,
-                           cap: int | None = None) -> tuple[int, OrderedTree]:
+def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:
     """Smallest leaf count admitting an (n, h)-universal tree, plus one
     witness.  The search ascends from the lower-bound recurrence, so a
     result of L is an exhaustive proof that no (L-1)-leaf tree works."""
-    shapes = list(enumerate_trees(n, h, cap))
+    shapes = list(enumerate_trees(n, h))
     size = g_recurrence(n, h)
     memo: dict[tuple[int, int], bool] = {}  # shared subtrees recur across candidates
     while True:
-        for candidate in enumerate_trees(size, h, cap):
+        for candidate in enumerate_trees(size, h):
             if all(_embeds(shape, candidate, memo) for shape in shapes):
                 return size, candidate
         size += 1

@@ -114,6 +114,46 @@ class TestShape:
         with pytest.raises(ValueError):
             validate_tree(OrderedTree(3, (OrderedTree(2),)))
 
+    def test_validate_shared_tower(self):
+        # 201 distinct nodes, 2^200 root-to-leaf paths
+        t = LEAF
+        for height in range(1, 201):
+            t = OrderedTree(height, (t, t))
+        validate_tree(t)
+
+    def test_validate_deep_tree(self):
+        validate_tree(tree_from_leaf_codes([(0,) * 3000], 3000))
+
+    def test_validate_reports_first_error_of_path_walk(self):
+        def walk(t):  # every path, depth first, left to right
+            for child in t.children:
+                if child.height != t.height - 1:
+                    raise ValueError(
+                        f"child of height {child.height} under node of height {t.height}")
+                if child.height > 0 and not child.children:
+                    raise ValueError("empty internal node below the root")
+                walk(child)
+
+        def outcome(check, t):
+            try:
+                check(t)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        rng = random.Random(11)
+        invalid = 0
+        for _ in range(2000):
+            pool = [LEAF]  # later nodes may share any earlier one
+            for _ in range(rng.randint(1, 8)):
+                kids = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+                height = max((k.height for k in kids), default=0) + rng.choice((1, 1, 1, 2))
+                pool.append(OrderedTree(height, kids))
+            expected = outcome(walk, pool[-1])
+            invalid += expected is not None
+            assert outcome(validate_tree, pool[-1]) == expected
+        assert 200 < invalid < 1800
+
 
 class TestLeafCodes:
     def test_codes_increasing_and_resolve_to_leaves(self):
