@@ -273,13 +273,24 @@ def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[tuple[int, int], bool]) -
     """Whether a embeds in b with root mapped to root: a's children go,
     left to right, each into the leftmost remaining child of b it embeds
     in.  Greedy matching is exact here: any embedding can be shifted onto
-    the greedy choices one child at a time.  ``memo`` holds the decisions
-    for child pairs, keyed by ``(id(a), id(b))``, so subtrees shared
-    between trees are matched once; the caller owns it and must keep
-    every tree it names alive."""
-    if a.height == 1:  # a leaf embeds in any leaf
+    the greedy choices one child at a time.  A leaf parent (height 1)
+    embeds in another exactly when it has no more children, so such pairs
+    need no memo.  ``memo`` holds the decisions for higher child pairs,
+    keyed by ``(id(a), id(b))``, so subtrees shared between trees are
+    matched once; the caller owns it and must keep every tree it names
+    alive."""
+    if a.height == 1:
         return len(a.children) <= len(b.children)
     rest = iter(b.children)
+    if a.height == 2:  # the child pairs are leaf parents: the rule above
+        for x in a.children:
+            need = len(x.children)
+            for y in rest:
+                if need <= len(y.children):
+                    break
+            else:
+                return False
+        return True
     for x in a.children:
         for y in rest:
             key = (id(x), id(y))
@@ -299,7 +310,9 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
 
     Greedy: each child goes into the leftmost remaining child of its
     image that can host it (see _embeds).  The returned mapping uses
-    left-to-right child-index paths on both sides.
+    left-to-right child-index paths on both sides.  It recurses once per
+    level: under Python's default recursion limit trees up to height 900
+    are accepted, and much deeper ones raise RecursionError.
     """
     if t.height != big.height:
         raise ValueError(f"height mismatch: {t.height} vs {big.height}")
@@ -310,12 +323,12 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
 
     def record(a: OrderedTree, b: OrderedTree,
                pa: tuple[int, ...], pb: tuple[int, ...]) -> None:
-        # replays _embeds' matching; every child pair it tries is in memo
+        # replays _embeds' matching; the memo makes each ask one pass
         mapping[pa] = pb
         rest = enumerate(b.children)
         for i, x in enumerate(a.children):
             for j, y in rest:
-                if x.height == 0 or memo[id(x), id(y)]:
+                if _embeds(x, y, memo):
                     break
             record(x, y, pa + (i,), pb + (j,))
 
@@ -323,7 +336,6 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
     return mapping
 
 
-@lru_cache(maxsize=None)
 def count_trees(n_leaves: int, h: int) -> int:
     """Number of ordered trees with exactly n_leaves leaves, all at depth h.
 
@@ -332,14 +344,22 @@ def count_trees(n_leaves: int, h: int) -> int:
     gives the next from the last.  O(n_leaves^2 * h) big-integer products."""
     if n_leaves < 1 or h < 1:
         raise ValueError(f"need n_leaves >= 1 and h >= 1, got ({n_leaves}, {h})")
+    return _count_rows(n_leaves, h)[-1][n_leaves]
+
+
+@lru_cache(maxsize=256)
+def _count_rows(n_leaves: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """count_trees(m, k) for m = 0..n_leaves, one row per height k = 1..h."""
     trees = [0] + [1] * n_leaves  # height 1: one tree per leaf count
+    rows = [tuple(trees)]
     for _ in range(h - 1):
         seqs = [1] + [0] * n_leaves  # sequences by total leaves; one empty one
         for m in range(1, n_leaves + 1):
             seqs[m] = sum(trees[k] * seqs[m - k] for k in range(1, m + 1))
         seqs[0] = 0  # a tree has at least one child
         trees = seqs
-    return trees[n_leaves]
+        rows.append(tuple(trees))
+    return tuple(rows)
 
 
 def _compositions(n: int):
@@ -352,34 +372,71 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _all_trees(n_leaves: int, h: int) -> tuple[OrderedTree, ...]:
+TREE_CACHE_LIMIT = 1 << 16  # trees _all_trees keeps across calls, ~12 MB
+_tree_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
+_trees_cached = 0
+
+
+def _all_trees(n_leaves: int, h: int):
+    """Every height-h tree with n_leaves leaves, in enumeration order,
+    built one height at a time.  An entry is kept for later calls while
+    the cache holds at most TREE_CACHE_LIMIT trees in all; a lower entry
+    that does not fit is built per call, and a requested one is streamed,
+    so a search that stops early never builds the rest."""
+    global _trees_cached
+    found = _tree_cache.get((n_leaves, h))
+    if found is not None:
+        return found
+    rows = _count_rows(n_leaves, h)
+    below: dict[int, tuple[OrderedTree, ...]] = {}
+    for k in range(1, h + 1):
+        level = {}
+        for m in range(1, n_leaves + 1) if k < h else (n_leaves,):
+            trees = _tree_cache.get((m, k))
+            if trees is None:
+                trees = _trees_over(below, m, k)
+                fits = _trees_cached + rows[k - 1][m] <= TREE_CACHE_LIMIT
+                if fits or k < h:
+                    trees = tuple(trees)
+                if fits:
+                    _tree_cache[m, k] = trees
+                    _trees_cached += len(trees)
+            level[m] = trees
+        below = level
+    return below[n_leaves]
+
+
+def _trees_over(below: dict[int, tuple[OrderedTree, ...]], n_leaves: int, h: int):
+    """Stream the height-h trees with n_leaves leaves from ``below``, the
+    height-(h-1) trees by leaf count."""
     if h == 1:
-        return (OrderedTree(1, (LEAF,) * n_leaves),)
-    out = []
+        yield OrderedTree(1, (LEAF,) * n_leaves)
+        return
     for comp in _compositions(n_leaves):
-        for kids in itertools.product(*(_all_trees(part, h - 1) for part in comp)):
-            out.append(OrderedTree(h, kids))
-    return tuple(out)
+        for kids in itertools.product(*(below[part] for part in comp)):
+            yield OrderedTree(h, kids)
 
 
 def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
     """Stream every ordered height-h tree with exactly n_leaves leaves,
     each once, in a deterministic order.  Guarded by the enumeration cap
-    (override via the PARITYTREE_ENUM_CAP environment variable)."""
+    (override via the PARITYTREE_ENUM_CAP environment variable) on the
+    trees built, those of lower height with at most n_leaves leaves too."""
     if cap is None:
         cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    total = count_trees(n_leaves, h)
+    rows = _count_rows(n_leaves, h)
+    total = rows[-1][n_leaves] + sum(map(sum, rows[:-1]))
     if total > cap:
         raise EnumerationGuardError(
-            f"{total} trees with {n_leaves} leaves at height {h} exceeds cap {cap}")
+            f"{total} trees to build for {n_leaves} leaves at height {h} exceeds cap {cap}")
     yield from _all_trees(n_leaves, h)
 
 
 def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | None]:
     """Brute-force universality check: every tree with exactly n leaves
     must embed (checking exactly-n trees suffices).  On failure, returns
-    the first non-embeddable witness."""
+    the first non-embeddable witness in enumeration order.  Accepts the
+    heights embed does: up to 900 under the default recursion limit."""
     if t.height != h:
         raise ValueError(f"tree height {t.height} != h = {h}")
     memo: dict[tuple[int, int], bool] = {}
@@ -391,14 +448,23 @@ def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | No
 
 def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:
     """Smallest leaf count admitting an (n, h)-universal tree, plus one
-    witness.  The search ascends from the lower-bound recurrence, so a
-    result of L is an exhaustive proof that no (L-1)-leaf tree works."""
-    shapes = list(enumerate_trees(n, h))
+    witness: the first candidate in enumeration order.  The search ascends
+    from the lower-bound recurrence, so a result of L is an exhaustive
+    proof that no (L-1)-leaf tree works.  Each candidate tries first the
+    shape that rejected the one before, which most fail on too; the order
+    of shapes cannot change which candidate passes them all."""
     size = g_recurrence(n, h)
-    memo: dict[tuple[int, int], bool] = {}  # shared subtrees recur across candidates
+    shapes = list(enumerate_trees(n, h))
     while True:
+        # per size: the memo names children of candidates that may not outlive it
+        memo: dict[tuple[int, int], bool] = {}
         for candidate in enumerate_trees(size, h):
-            if all(_embeds(shape, candidate, memo) for shape in shapes):
+            for i, shape in enumerate(shapes):
+                if not _embeds(shape, candidate, memo):
+                    if i:
+                        shapes.insert(0, shapes.pop(i))
+                    break
+            else:
                 return size, candidate
         size += 1
 

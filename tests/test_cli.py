@@ -256,6 +256,16 @@ class TestTree:
         assert captured.err.startswith("error: maximum recursion depth exceeded")
         assert captured.err.count("\n") == 1
 
+    def test_check_too_deep(self, tmp_path, capsys):
+        codes = tmp_path / "deep.txt"
+        codes.write_text(",".join(["0"] * 3000) + "\n")
+        assert main(["tree", "check", "--n", "1", "--h", "3000",
+                     "--file", str(codes)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: maximum recursion depth exceeded")
+        assert captured.err.count("\n") == 1
+
     def test_malformed_codes_file(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"
         codes.write_text("0,0\n\n1,x\n")

@@ -3,12 +3,14 @@ import time
 
 import pytest
 
+from paritytree import universal_tree
 from paritytree.bounds import f_recurrence
 from paritytree.game_core import EVE, ParityGame, generate_random_game
 from paritytree.progress_measure import lift_value, value_leq
 from paritytree.universal_tree import (
     LEAF,
     TOP,
+    TREE_CACHE_LIMIT,
     EnumerationGuardError,
     OrderedTree,
     block_bounds,
@@ -360,6 +362,17 @@ class TestEmbed:
         assert embed(lopsided, mirrored) is None
         assert embed(mirrored, mirrored) is not None
 
+    def test_accepted_height(self):
+        # the height the docstrings of embed and is_universal promise
+        tower = tree_from_leaf_codes([(0,) * 900], 900)
+        assert embed(tower, tower) == {(0,) * k: (0,) * k for k in range(901)}
+        assert is_universal(tower, 1, 900) == (True, None)
+        tower = tree_from_leaf_codes([(0,) * 3000], 3000)
+        with pytest.raises(RecursionError):
+            embed(tower, tower)
+        with pytest.raises(RecursionError):
+            is_universal(tower, 1, 3000)
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -385,6 +398,26 @@ class TestEnumeration:
         monkeypatch.setenv("PARITYTREE_ENUM_CAP", "1")
         with pytest.raises(EnumerationGuardError):
             list(enumerate_trees(3, 2))
+
+    def test_guard_counts_lower_heights(self):
+        # one tree of each height up to 10: the nine below are built too
+        with pytest.raises(EnumerationGuardError, match="^10 trees to build"):
+            list(enumerate_trees(1, 10, cap=9))
+        assert len(list(enumerate_trees(1, 10, cap=10))) == 1
+
+    def test_entry_over_the_cache_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "_tree_cache", {})
+        monkeypatch.setattr(universal_tree, "_trees_cached", 0)
+        kept = next(enumerate_trees(4, 3))
+        assert next(enumerate_trees(4, 3)) is kept
+        # 2^17 trees of height 2 with 18 leaves, streamed per call
+        assert count_trees(18, 2) > TREE_CACHE_LIMIT
+        first = next(enumerate_trees(18, 2))
+        again = next(enumerate_trees(18, 2))
+        assert first == again and first is not again
+        assert (18, 2) not in universal_tree._tree_cache
+        assert universal_tree._trees_cached == sum(map(len, universal_tree._tree_cache.values()))
+        assert universal_tree._trees_cached <= TREE_CACHE_LIMIT
 
 
 class TestUniversality:

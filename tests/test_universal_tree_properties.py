@@ -2,11 +2,15 @@
 on trees rebuilt from leaf codes, including non-universal ones with uneven
 degrees: ranks follow the leaf order, the lift's block-based least leaf
 >=_p equals the linear-scan oracle, value iteration on ranks reaches the fixed point of
-the leaf-code lift, and the greedy embedding agrees with an exact table
-dynamic program."""
+the leaf-code lift, the greedy embedding agrees with an exact table
+dynamic program, and the minimal search returns the first candidate that
+program accepts for every shape."""
+
+import itertools
 
 import pytest
 
+from paritytree.bounds import g_recurrence
 from paritytree.game_core import ADAM, EVE, ParityGame
 from paritytree.progress_measure import value_iteration
 from paritytree.universal_tree import (
@@ -14,9 +18,12 @@ from paritytree.universal_tree import (
     code_to_rank,
     embed,
     enumerate_trees,
+    find_minimal_universal,
     is_universal,
     leaf_codes,
     leaf_count,
+    make_naive_tree,
+    make_succinct_tree,
     rank_to_code,
     tree_from_leaf_codes,
 )
@@ -166,12 +173,24 @@ def assert_valid_embedding(mapping, t, big):
                 assert image[-1] > mapping[path[:-1] + (path[-1] - 1,)][-1]
 
 
+def built_trees(h):
+    """Naive and succinct trees of height h, as built or rebuilt from their
+    leaf codes.  The builders share node objects, which the embedding memo
+    keys on: a naive tree's siblings are one object, and a succinct tree's
+    leaf parents differ in degree and recur under many parents.  The
+    rebuilt copies have the same shapes with no node shared."""
+    built = st.one_of(
+        st.integers(1, 3).map(lambda n: make_naive_tree(n, h)),
+        st.integers(1, 7).map(lambda n: make_succinct_tree(n, h)))
+    return st.one_of(built, built.map(lambda t: tree_from_leaf_codes(list(leaf_codes(t)), h)))
+
+
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
 @hypothesis.given(st.data())
 def test_embed_matches_table_dp(data):
     h = data.draw(st.integers(1, 4))
-    small = data.draw(trees(h))
-    big = data.draw(trees(h, max_degree=4))
+    small = data.draw(st.one_of(trees(h), built_trees(h)))
+    big = data.draw(st.one_of(trees(h, max_degree=4), built_trees(h)))
     for t, host in ((small, big), (big, small), (small, small)):
         mapping = embed(t, host)
         assert mapping == reference_embed(t, host)
@@ -188,3 +207,16 @@ def test_is_universal_finds_the_first_witness(data):
     witness = next(
         (shape for shape in enumerate_trees(n, h) if reference_embed(shape, t) is None), None)
     assert is_universal(t, n, h) == (witness is None, witness)
+
+
+@pytest.mark.parametrize("n, h", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_minimal_search_returns_the_first_universal_candidate(n, h):
+    # every pair whose first candidate size has at most ~1,100 trees
+    shapes = list(enumerate_trees(n, h))
+    for size in itertools.count(g_recurrence(n, h)):
+        first = next((candidate for candidate in enumerate_trees(size, h)
+                      if all(reference_embed(shape, candidate) is not None
+                             for shape in shapes)), None)
+        if first is not None:
+            break
+    assert find_minimal_universal(n, h) == (size, first)
