@@ -58,20 +58,16 @@ class LiftStats:
     duration: float = 0.0
 
 
-class LiftTable:
-    """Per priority p in [0, d], the slot of universal_tree.block_bounds
-    that holds the least leaf >=_p a value (>_p at odd p) in a tree of
-    height h.  It depends on (h, d) alone, never on the tree's shape, so
-    every tree of that height shares it: see lift_slots."""
-
-    def __init__(self, h: int, d: int):
-        self.slot = tuple(bound_slot(h, p, d) for p in range(d + 1))
-
-
 @lru_cache(maxsize=64)
 def lift_slots(h: int, d: int) -> tuple[int, ...]:
-    """LiftTable(h, d).slot, built once per (h, d) pair."""
-    return LiftTable(h, d).slot
+    """Per priority p in [0, d], the slot of universal_tree.block_bounds
+    holding the least leaf >=_p a value (>_p at odd p) in a tree of height
+    h.  It depends on (h, d) alone, so every tree of that height shares it."""
+    return tuple(bound_slot(h, p, d) for p in range(d + 1))
+
+
+# install_hooks in perfbench/workloads.py reads this name; tracing fails without it
+LiftTable = lift_slots
 
 
 def lift_value(

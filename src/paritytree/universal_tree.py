@@ -55,6 +55,7 @@ class OrderedTree:
         ``cumulative[i]`` to ``cumulative[i + 1] - 1`` of this subtree.
         Computed once per node object, which shared subtrees reuse; it is
         not a field, so equality and hashing ignore it."""
+        _fill(self, "cumulative")
         return tuple(itertools.accumulate(map(leaf_count, reversed(self.children)), initial=0))
 
     @cached_property
@@ -68,6 +69,7 @@ class OrderedTree:
 
     @cached_property
     def _hash(self) -> int:
+        _fill(self, "_hash")
         return hash((self.height, self.children))
 
     def __hash__(self) -> int:
@@ -77,25 +79,36 @@ class OrderedTree:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality, O(distinct node pairs): pairs already proven
-        equal in this call are not compared again."""
+        """Structural equality on an explicit stack, O(distinct node pairs):
+        a pair compared once is not compared again, as a mismatch ends the call."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return _same(self, other, set())
+        proven: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in proven:
+                continue
+            if a._hash != b._hash or a.height != b.height or len(a.children) != len(b.children):
+                return False
+            proven.add((id(a), id(b)))
+            stack += zip(a.children, b.children)
+        return True
 
 
-def _same(a: OrderedTree, b: OrderedTree, proven: set[tuple[int, int]]) -> bool:
-    if a is b:
-        return True
-    if a._hash != b._hash or a.height != b.height or len(a.children) != len(b.children):
-        return False
-    key = (id(a), id(b))
-    if key in proven:
-        return True
-    if all(_same(x, y, proven) for x, y in zip(a.children, b.children)):
-        proven.add(key)
-        return True
-    return False
+def _fill(t: OrderedTree, name: str) -> None:
+    """Compute cached property ``name`` once per descendant of t lacking it,
+    deepest first: a node is re-stacked beneath its missing children."""
+    stack = list(t.children)
+    while stack:
+        node = stack.pop()
+        if name in node.__dict__:
+            continue
+        missing = [child for child in node.children if name not in child.__dict__]
+        if missing:
+            stack += [node, *missing]
+        else:
+            getattr(node, name)
 
 
 LEAF = OrderedTree(0)
@@ -152,8 +165,7 @@ def level(d: int, p: int) -> int:
 
 def make_naive_tree(n: int, h: int) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
-    shared across siblings.  Each level's leaf count is computed as it is
-    built, so no later call recurses through the height."""
+    shared across siblings."""
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got ({n}, {h})")
     if n**h > NAIVE_LEAF_CAP:
@@ -161,7 +173,6 @@ def make_naive_tree(n: int, h: int) -> OrderedTree:
     node = LEAF
     for height in range(1, h + 1):
         node = OrderedTree(height, (node,) * n)
-        leaf_count(node)
     return node
 
 
@@ -184,9 +195,6 @@ def _succinct_children(n: int, h: int) -> tuple[OrderedTree, ...]:
     if h == 1:
         return (LEAF,) * n
     middle = OrderedTree(h - 1, _succinct_children(n, h - 1))
-    leaf_count(middle)  # its children's counts are known, so this is one level
-    if n == 1:
-        return (middle,)
     return _succinct_children(n // 2, h) + (middle,) + _succinct_children(n - 1 - n // 2, h)
 
 
@@ -512,9 +520,7 @@ def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:
 
     Built bottom-up, one depth at a time: the nodes at depth k are keyed
     by their codes' first k entries, in decreasing order, so each node's
-    children arrive left to right.  The leaf counts of every 100th depth
-    are computed as it is built, so a later count recurses through at
-    most 100 levels; shallow trees, most of those read, skip the cost."""
+    children arrive left to right."""
     code_set = set(codes)
     if not code_set:
         raise ValueError("no leaf codes given")
@@ -531,9 +537,7 @@ def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:
         for prefix, by_index in by_parent.items():
             if min(by_index) != 0 or max(by_index) != len(by_index) - 1:
                 gaps.append(prefix)
-            node = level[prefix] = OrderedTree(h - depth + 1, tuple(by_index.values()))
-            if depth % 100 == 0:
-                leaf_count(node)
+            level[prefix] = OrderedTree(h - depth + 1, tuple(by_index.values()))
     if gaps:
         # the gap a depth-first walk from the leftmost child meets first
         first = min(gaps, key=lambda prefix: [-idx for idx in prefix])

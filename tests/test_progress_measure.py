@@ -33,7 +33,7 @@ from paritytree.universal_tree import (
     tree_from_leaf_codes,
 )
 from paritytree.zielonka import solve_zielonka
-from test_universal_tree import reference_fixed_point
+from test_universal_tree import reference_fixed_point, tower
 
 
 def make(d, owner, priority, successors):
@@ -146,6 +146,14 @@ class TestValueIteration:
             # one change per leaf plus the final step to TOP... the walk
             # visits every leaf exactly once, so |T| value changes total
             assert stats.per_vertex[0] == leaf_count(tree)
+
+    def test_hand_built_tree_of_any_height(self):
+        # priority 6000 needs height 3,000: the tree's facts fill on a stack
+        g = make(6000, [EVE], [6000], [(0,)])
+        mu, region, stats = value_iteration(g, tower(3000))
+        assert mu == [(0,) * 3000] and region.eve_wins == frozenset({0})
+        naive_mu, naive_region, naive_stats = value_iteration(g, make_naive_tree(1, 3000))
+        assert (mu, region, stats.total) == (naive_mu, naive_region, naive_stats.total)
 
     def test_unknown_policy(self):
         g = make(2, [EVE], [0], [(0,)])

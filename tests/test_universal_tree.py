@@ -36,6 +36,15 @@ from paritytree.zielonka import SignatureTuple, extract_signature
 from signature_reference import reference_signature_to_tree, tuple_compare
 
 
+def tower(h, bottom=LEAF, width=1):
+    """A tower of height h built directly with OrderedTree: each node above
+    ``bottom`` holds ``width`` copies of the one node below it."""
+    t = bottom
+    for height in range(bottom.height + 1, h + 1):
+        t = OrderedTree(height, (t,) * width)
+    return t
+
+
 class TestShape:
     def test_naive_leaf_count(self):
         for n in range(1, 6):
@@ -77,26 +86,47 @@ class TestShape:
 
     def test_hash_visits_each_shared_node_once(self):
         # 2^200 root-to-leaf paths over 201 distinct nodes
-        def tower():
-            t = LEAF
-            for height in range(1, 201):
-                t = OrderedTree(height, (t, t))
-            return t
-
-        assert hash(tower()) == hash(tower())
+        assert hash(tower(200, width=2)) == hash(tower(200, width=2))
 
     def test_equality_visits_each_shared_pair_once(self):
         # separately built towers share no node objects with each other
-        def tower(bottom):
-            t = bottom
-            for height in range(2, 201):
-                t = OrderedTree(height, (t, t))
-            return t
-
         pair = OrderedTree(1, (LEAF, LEAF))
-        assert tower(pair) == tower(OrderedTree(1, (LEAF, LEAF)))
-        assert tower(pair) != tower(OrderedTree(1, (LEAF,)))
-        assert tower(pair) != tower(OrderedTree(1, (LEAF, LEAF, LEAF)))
+        assert tower(200, pair, 2) == tower(200, OrderedTree(1, (LEAF, LEAF)), 2)
+        assert tower(200, pair, 2) != tower(200, OrderedTree(1, (LEAF,)), 2)
+        assert tower(200, pair, 2) != tower(200, OrderedTree(1, (LEAF, LEAF, LEAF)), 2)
+
+    def test_hand_built_tower_counts_at_any_height(self):
+        # leaf counts are filled bottom-up on a stack, not by recursion
+        t = tower(3000)
+        assert leaf_count(t) == 1
+        assert code_to_rank(t, (0,) * 3000) == 0
+        assert block_bounds(t, 0) == (0,) * 3001 + (1,) * 3001
+
+    def test_hash_and_equality_at_any_height(self):
+        t, read = tower(3000), tree_from_leaf_codes([(0,) * 3000], 3000)
+        assert hash(t) == hash(read)
+        assert t == read and read == t
+        wide = tower(3000, OrderedTree(1, (LEAF, LEAF)))
+        assert t != wide and wide != read
+
+    def test_enumerated_tree_counts_at_any_height(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "_tree_cache", {})
+        monkeypatch.setattr(universal_tree, "_trees_cached", 0)
+        assert leaf_count(next(enumerate_trees(1, 3000))) == 1
+
+    def test_building_and_checking_computes_no_fact(self):
+        # reading codes and checking universality need no leaf count or
+        # hash, so no node of the tree read may hold one
+        codes = list(leaf_codes(make_succinct_tree(5, 3)))
+        codes.append((1 + max(code[0] for code in codes), 0, 0))
+        t = tree_from_leaf_codes(codes, 3)
+        assert is_universal(t, 5, 3) == (True, None)
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if node.height:  # leaves are the shared LEAF, which other tests hash
+                assert not {"cumulative", "_hash"} & node.__dict__.keys()
+                stack.extend(node.children)
 
     def test_succinct_valid(self):
         for n in range(1, 10):
@@ -118,10 +148,7 @@ class TestShape:
 
     def test_validate_shared_tower(self):
         # 201 distinct nodes, 2^200 root-to-leaf paths
-        t = LEAF
-        for height in range(1, 201):
-            t = OrderedTree(height, (t, t))
-        validate_tree(t)
+        validate_tree(tower(200, width=2))
 
     def test_validate_deep_tree(self):
         validate_tree(tree_from_leaf_codes([(0,) * 3000], 3000))
