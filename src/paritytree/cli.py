@@ -17,6 +17,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DISAGREE = 2
 
+# the universal-tree kinds by name, each built for n vertices and height h
+TREES = {"naive": universal_tree.make_naive_tree, "succinct": universal_tree.make_succinct_tree}
+
 
 def _read_game(path: str) -> ParityGame:
     if path == "-":
@@ -25,9 +28,7 @@ def _read_game(path: str) -> ParityGame:
         with open(path) as fh:
             text = fh.read()
     g = game_core.parse_pgsolver(text)
-    violations = game_core.validate_game(g)
-    if violations:
-        raise ValueError("; ".join(violations))
+    game_core.require_valid(g)
     return g
 
 
@@ -52,16 +53,14 @@ def _load_tree(spec: str, g: ParityGame) -> universal_tree.OrderedTree:
     """The tree a spec names, of height d/2 for g.  A tree from a file
     may not be universal, so loading one prints a warning."""
     h = g.d // 2
-    if spec == "naive":
-        return universal_tree.make_naive_tree(g.n, h)
-    if spec == "succinct":
-        return universal_tree.make_succinct_tree(g.n, h)
+    if spec in TREES:
+        return TREES[spec](g.n, h)
     if spec.startswith("file:"):
         tree = universal_tree.tree_from_leaf_codes(_read_leaf_codes(spec[len("file:"):]), h)
         print("warning: tree loaded from file; universality not guaranteed, "
               "the computed region may under-approximate Eve's", file=sys.stderr)
         return tree
-    raise ValueError(f"unknown tree spec {spec!r} (use naive, succinct, or file:PATH)")
+    raise ValueError(f"unknown tree spec {spec!r} (use {', '.join(TREES)}, or file:PATH)")
 
 
 def _parse_policy(spec: str) -> tuple[str, int | None]:
@@ -121,7 +120,7 @@ def cmd_solve(args) -> int:
 def _cross_check(g: ParityGame, args) -> int:
     results: dict[str, Region] = {}
     results["zielonka"] = zielonka.solve_zielonka(g)
-    specs = ["naive", "succinct"]
+    specs = list(TREES)
     if args.tree.startswith("file:"):
         specs.append(args.tree)
     for spec in specs:
@@ -162,10 +161,7 @@ def cmd_gen(args) -> int:
 
 def cmd_tree(args) -> int:
     if args.tree_cmd == "build":
-        if args.kind == "naive":
-            t = universal_tree.make_naive_tree(args.n, args.height)
-        else:
-            t = universal_tree.make_succinct_tree(args.n, args.height)
+        t = TREES[args.kind](args.n, args.height)
         print(f"{args.kind}({args.n},{args.height}): "
               f"{universal_tree.leaf_count(t)} leaves")
         if args.dump:
@@ -207,7 +203,7 @@ def cmd_bench(args) -> int:
                  args.n, args.d, (args.min_deg, args.max_deg), seed))
              for seed in range(args.seed, args.seed + args.count)]
     print("seed\ttree\tleaves\tlifts\tseconds")
-    totals: dict[str, int] = {"naive": 0, "succinct": 0}
+    totals = dict.fromkeys(TREES, 0)
     skipped: set[str] = set()
     # every game has n vertices, and its d is the even cover of its largest
     # priority, so each kind is loaded once per height the sweep reaches;
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="input file, '-' for stdin")
     p.add_argument("--algorithm", choices=("brute", "zielonka", "vi"), default="vi")
     p.add_argument("--tree", default="succinct",
-                   help="naive | succinct | file:PATH (vi only)")
+                   help=f"{' | '.join(TREES)} | file:PATH (vi only)")
     p.add_argument("--policy", default="fifo",
                    help="fifo | roundrobin | random:SEED (vi only)")
     p.add_argument("--stats", action="store_true",
@@ -269,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="build/check universal trees")
     tsub = p.add_subparsers(dest="tree_cmd", required=True)
     b = tsub.add_parser("build")
-    b.add_argument("--kind", choices=("naive", "succinct"), required=True)
+    b.add_argument("--kind", choices=TREES, required=True)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--h", dest="height", type=int, required=True)
     b.add_argument("--dump", action="store_true")

@@ -44,22 +44,12 @@ def play_outcome(
     tau: PositionalStrategy,
     v0: int,
 ) -> str:
-    """Winner of the unique play from v0 under (sigma, tau).
-
-    Follows the functional graph until a vertex repeats; the winner is
-    decided by the parity of the maximum priority on the resulting cycle.
-    Returns game_core.EVEN for an Eve win, game_core.ODD otherwise.
-    """
-    seen: dict[int, int] = {}
-    path = []
-    v = v0
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        v = sigma.choice[v] if g.owner[v] == EVE else tau.choice[v]
-    cycle = path[seen[v]:]
-    top = max(g.priority[u] for u in cycle)
-    return EVEN if top % 2 == 0 else ODD
+    """Winner of the unique play from v0 under (sigma, tau): game_core.EVEN
+    for an Eve win, game_core.ODD otherwise.  Each strategy must name a
+    successor for every vertex of its player; the answer is read off the
+    combined functional graph, as solve_bruteforce reads each profile's."""
+    nxt = [sigma.choice[v] if g.owner[v] == EVE else tau.choice[v] for v in g.vertices()]
+    return EVEN if _winners_for_profile(g, nxt)[v0] else ODD
 
 
 def _winners_for_profile(g: ParityGame, nxt: list[int]) -> list[bool]:

@@ -8,7 +8,8 @@ TOP it stays there.  Internally the lift works on leaf ranks 0..|T|-1 with
 TOP = |T|.  One rule gives every option: the least leaf >=_p a value (>_p
 at odd p) is the start (or end) of the value's block at depth level(p),
 one slot of universal_tree.block_bounds.  Which slot depends only on the
-tree's height and the game's d, so the slots are memoised per (h, d).
+tree's height and the game's d, so universal_tree.lift_slots memoises the
+slots per (h, d).
 The bounds themselves are memoised per tree, in OrderedTree.bounds: every
 game solved on one tree object shares them, and they go with the tree.
 """
@@ -19,7 +20,6 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
 from .universal_tree import (
@@ -27,10 +27,10 @@ from .universal_tree import (
     LeafCode,
     OrderedTree,
     block_bounds,
-    bound_slot,
     code_to_rank,
     compare_leaves_at,
     leaf_count,
+    lift_slots,
     rank_to_code,
 )
 
@@ -56,14 +56,6 @@ class LiftStats:
     total: int = 0
     per_vertex: list[int] = field(default_factory=list)
     duration: float = 0.0
-
-
-@lru_cache(maxsize=64)
-def lift_slots(h: int, d: int) -> tuple[int, ...]:
-    """Per priority p in [0, d], the slot of universal_tree.block_bounds
-    holding the least leaf >=_p a value (>_p at odd p) in a tree of height
-    h.  It depends on (h, d) alone, so every tree of that height shares it."""
-    return tuple(bound_slot(h, p, d) for p in range(d + 1))
 
 
 # install_hooks in perfbench/workloads.py reads this name; tracing fails without it

@@ -31,7 +31,7 @@ class EnumerationGuardError(ValueError):
     """A brute-force enumeration would exceed the configured ceiling."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class OrderedTree:
     """Node of a totally ordered tree; all leaves sit at the same depth.
 
@@ -43,6 +43,10 @@ class OrderedTree:
 
     height: int
     children: tuple["OrderedTree", ...] = ()
+
+    def __repr__(self) -> str:
+        """Height and root degree only: O(1) at any height or sharing."""
+        return f"OrderedTree(height={self.height}, {len(self.children)} root children)"
 
     @property
     def is_empty(self) -> bool:
@@ -163,6 +167,17 @@ def level(d: int, p: int) -> int:
     return d // 2 - p // 2
 
 
+@lru_cache(maxsize=64)
+def lift_slots(h: int, d: int) -> tuple[int, ...]:
+    """Per priority p in [0, d], the index into block_bounds of the least
+    leaf >=_p a given leaf, >_p when p is odd, in a tree of height h: the
+    p-order compares the first level(d, p) code entries, so that leaf is
+    the start of the leaf's block at depth level(d, p), or its end when p
+    is odd.  An end past the last leaf is TOP.  It depends on (h, d) alone,
+    so every tree of that height shares it."""
+    return tuple(min(level(d, p), h) + (h + 1 if p % 2 else 0) for p in range(d + 1))
+
+
 def make_naive_tree(n: int, h: int) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
     shared across siblings."""
@@ -255,16 +270,6 @@ def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
     return (*starts, *ends)
 
 
-def bound_slot(h: int, p: int, d: int) -> int:
-    """Index into block_bounds of the least leaf >=_p a given leaf, >_p
-    when p is odd, for a tree of height h: the p-order compares the first
-    level(d, p) code entries, so that leaf is the start of the leaf's
-    block at depth level(d, p), or its end when p is odd.  An end past
-    the last leaf is TOP."""
-    keep = min(level(d, p), h)
-    return keep + h + 1 if p % 2 else keep
-
-
 def compare_leaves_at(
     t: OrderedTree, a: LeafCode, b: LeafCode, p: int, d: int
 ) -> int:
@@ -317,30 +322,29 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
     with root mapped to root, or None if no embedding exists.
 
     Greedy: each child goes into the leftmost remaining child of its
-    image that can host it (see _embeds).  The returned mapping uses
-    left-to-right child-index paths on both sides.  It recurses once per
-    level: under Python's default recursion limit trees up to height 900
-    are accepted, and much deeper ones raise RecursionError.
+    image that can host it (see _embeds), replayed once on an explicit
+    stack.  Only a root child can lack a host, since _embeds has decided
+    every pair below it.  The returned mapping uses left-to-right
+    child-index paths on both sides.  _embeds recurses once per level:
+    under Python's default recursion limit trees up to height 900 are
+    accepted, and much deeper ones raise RecursionError.
     """
     if t.height != big.height:
         raise ValueError(f"height mismatch: {t.height} vs {big.height}")
     memo: dict[tuple[int, int], bool] = {}
-    if not _embeds(t, big, memo):
-        return None
     mapping: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def record(a: OrderedTree, b: OrderedTree,
-               pa: tuple[int, ...], pb: tuple[int, ...]) -> None:
-        # replays _embeds' matching; the memo makes each ask one pass
+    stack = [(t, big, (), ())]
+    while stack:
+        a, b, pa, pb = stack.pop()
         mapping[pa] = pb
         rest = enumerate(b.children)
         for i, x in enumerate(a.children):
             for j, y in rest:
                 if _embeds(x, y, memo):
+                    stack.append((x, y, pa + (i,), pb + (j,)))
                     break
-            record(x, y, pa + (i,), pb + (j,))
-
-    record(t, big, (), ())
+            else:
+                return None
     return mapping
 
 
@@ -350,14 +354,14 @@ def count_trees(n_leaves: int, h: int) -> int:
     Counted, not enumerated: a height-k tree is a nonempty sequence of
     height-(k-1) trees, so one table per height, indexed by total leaves,
     gives the next from the last.  O(n_leaves^2 * h) big-integer products."""
-    if n_leaves < 1 or h < 1:
-        raise ValueError(f"need n_leaves >= 1 and h >= 1, got ({n_leaves}, {h})")
     return _count_rows(n_leaves, h)[-1][n_leaves]
 
 
 @lru_cache(maxsize=256)
 def _count_rows(n_leaves: int, h: int) -> tuple[tuple[int, ...], ...]:
     """count_trees(m, k) for m = 0..n_leaves, one row per height k = 1..h."""
+    if n_leaves < 1 or h < 1:
+        raise ValueError(f"need n_leaves >= 1 and h >= 1, got ({n_leaves}, {h})")
     trees = [0] + [1] * n_leaves  # height 1: one tree per leaf count
     rows = [tuple(trees)]
     for _ in range(h - 1):
@@ -380,25 +384,31 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-TREE_CACHE_LIMIT = 1 << 16  # trees _all_trees keeps across calls, ~12 MB
+TREE_CACHE_LIMIT = 1 << 16  # trees enumerate_trees keeps across calls, ~12 MB
 _tree_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
 _trees_cached = 0
 
 
-def _all_trees(n_leaves: int, h: int):
-    """Every height-h tree with n_leaves leaves, in enumeration order,
-    built one height at a time.  An entry is kept for later calls while
-    the cache holds at most TREE_CACHE_LIMIT trees in all; a lower entry
-    that does not fit is built per call, and a requested one is streamed,
-    so a search that stops early never builds the rest."""
+def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
+    """Stream every ordered height-h tree with exactly n_leaves leaves,
+    each once, in a deterministic order, built one height at a time.
+    Guarded by the enumeration cap (override via the PARITYTREE_ENUM_CAP
+    environment variable) on the trees built, those of lower height with
+    at most n_leaves leaves too.  An entry is kept, and later read as is,
+    while the cache holds at most TREE_CACHE_LIMIT trees in all; a lower
+    entry that does not fit is built per call, and a requested one is
+    streamed, so a search that stops early never builds the rest."""
     global _trees_cached
-    found = _tree_cache.get((n_leaves, h))
-    if found is not None:
-        return found
+    if cap is None:
+        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     rows = _count_rows(n_leaves, h)
+    total = rows[-1][n_leaves] + sum(map(sum, rows[:-1]))
+    if total > cap:
+        raise EnumerationGuardError(
+            f"{total} trees to build for {n_leaves} leaves at height {h} exceeds cap {cap}")
     below: dict[int, tuple[OrderedTree, ...]] = {}
-    for k in range(1, h + 1):
-        level = {}
+    for k in range(1, h + 1) if (n_leaves, h) not in _tree_cache else (h,):
+        layer = {}
         for m in range(1, n_leaves + 1) if k < h else (n_leaves,):
             trees = _tree_cache.get((m, k))
             if trees is None:
@@ -409,9 +419,9 @@ def _all_trees(n_leaves: int, h: int):
                 if fits:
                     _tree_cache[m, k] = trees
                     _trees_cached += len(trees)
-            level[m] = trees
-        below = level
-    return below[n_leaves]
+            layer[m] = trees
+        below = layer
+    yield from below[n_leaves]
 
 
 def _trees_over(below: dict[int, tuple[OrderedTree, ...]], n_leaves: int, h: int):
@@ -423,21 +433,6 @@ def _trees_over(below: dict[int, tuple[OrderedTree, ...]], n_leaves: int, h: int
     for comp in _compositions(n_leaves):
         for kids in itertools.product(*(below[part] for part in comp)):
             yield OrderedTree(h, kids)
-
-
-def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
-    """Stream every ordered height-h tree with exactly n_leaves leaves,
-    each once, in a deterministic order.  Guarded by the enumeration cap
-    (override via the PARITYTREE_ENUM_CAP environment variable) on the
-    trees built, those of lower height with at most n_leaves leaves too."""
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    rows = _count_rows(n_leaves, h)
-    total = rows[-1][n_leaves] + sum(map(sum, rows[:-1]))
-    if total > cap:
-        raise EnumerationGuardError(
-            f"{total} trees to build for {n_leaves} leaves at height {h} exceeds cap {cap}")
-    yield from _all_trees(n_leaves, h)
 
 
 def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | None]:

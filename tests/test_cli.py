@@ -266,6 +266,16 @@ class TestTree:
         assert captured.err.startswith("error: maximum recursion depth exceeded")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("n, h", [(-3, 1), (-1, 2), (0, 2)])
+    def test_check_needs_a_leaf(self, tmp_path, capsys, n, h):
+        codes = tmp_path / "codes.txt"
+        codes.write_text(",".join(["0"] * h) + "\n")
+        assert main(["tree", "check", "--n", str(n), "--h", str(h),
+                     "--file", str(codes)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n_leaves >= 1 and h >= 1, got ({n}, {h})\n"
+
     def test_malformed_codes_file(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"
         codes.write_text("0,0\n\n1,x\n")

@@ -109,6 +109,11 @@ class TestShape:
         wide = tower(3000, OrderedTree(1, (LEAF, LEAF)))
         assert t != wide and wide != read
 
+    def test_repr_walks_no_tree(self):
+        # the tower is too deep to recurse through; the naive tree has 10^6 paths
+        assert repr(tower(3000)) == "OrderedTree(height=3000, 1 root children)"
+        assert repr(make_naive_tree(1000, 2)) == "OrderedTree(height=2, 1000 root children)"
+
     def test_enumerated_tree_counts_at_any_height(self, monkeypatch):
         monkeypatch.setattr(universal_tree, "_tree_cache", {})
         monkeypatch.setattr(universal_tree, "_trees_cached", 0)
@@ -323,13 +328,14 @@ class TestMinLeafGeq:
         trees = [make_naive_tree(3, 2), make_succinct_tree(5, 2),
                  make_succinct_tree(6, 3), make_naive_tree(2, 3)]
         for t in trees:
-            d = 2 * t.height
-            codes = list(leaf_codes(t))
-            for _ in range(300):
-                target = rng.choice(codes)
-                p = rng.randint(0, d)
-                assert lift_onto(t, target, p, d) == \
-                    scan_min_geq(t, target, p, p % 2 == 1, d), (t.height, target, p)
+            # d past 2h: trees shorter than d/2 keep their whole code
+            for d in (2 * t.height, 2 * t.height + 2, 2 * t.height + 6):
+                codes = list(leaf_codes(t))
+                for _ in range(300):
+                    target = rng.choice(codes)
+                    p = rng.randint(0, d)
+                    assert lift_onto(t, target, p, d) == \
+                        scan_min_geq(t, target, p, p % 2 == 1, d), (t.height, target, p, d)
 
     def test_top_absorbs(self):
         t = make_naive_tree(2, 1)
@@ -416,6 +422,11 @@ class TestEnumeration:
         for t in shapes:
             validate_tree(t)
             assert leaf_count(t) == 4
+
+    @pytest.mark.parametrize("n_leaves, h", [(0, 2), (3, 0)])
+    def test_needs_a_leaf_and_a_level(self, n_leaves, h):
+        with pytest.raises(ValueError, match="need n_leaves >= 1 and h >= 1"):
+            next(enumerate_trees(n_leaves, h))
 
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
