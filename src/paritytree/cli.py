@@ -184,6 +184,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n_max < 1 or args.h_max < 1:
+        raise ValueError(f"need --n-max >= 1 and --h-max >= 1, got ({args.n_max}, {args.h_max})")
     rows = [(n, h, bounds.f_recurrence(n, h), bounds.g_recurrence(n, h))
             for n in range(1, args.n_max + 1) for h in range(1, args.h_max + 1)]
     if args.format == "markdown":
@@ -199,6 +201,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"need --count >= 1, got {args.count}")
     games = [(seed, game_core.generate_random_game(
                  args.n, args.d, (args.min_deg, args.max_deg), seed))
              for seed in range(args.seed, args.seed + args.count)]

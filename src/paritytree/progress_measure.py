@@ -12,6 +12,8 @@ tree's height and the game's d, so universal_tree.lift_slots memoises the
 slots per (h, d).
 The bounds themselves are memoised per tree, in OrderedTree.bounds: every
 game solved on one tree object shares them, and they go with the tree.
+The tree builders intern small roots, so games of one (n, d) that each
+build their own tree still find the same object and the same memo.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def value_iteration(
     the block bounds of its value, so a successor's option is one lookup.
     Bounds come from the tree's memo (OrderedTree.bounds): each is computed
     once per distinct rank reached on this tree object, in this call or an
-    earlier one, and kept as long as the tree.
+    earlier one, and kept as long as the tree.  An interned builder root
+    (universal_tree._interned) carries its memo from game to game.
     """
     require_valid(g)
     if policy not in POLICIES:

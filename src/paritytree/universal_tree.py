@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter
 
 from .bounds import g_recurrence
 
@@ -59,22 +61,21 @@ class OrderedTree:
         ``cumulative[i]`` to ``cumulative[i + 1] - 1`` of this subtree.
         Computed once per node object, which shared subtrees reuse; it is
         not a field, so equality and hashing ignore it."""
-        _fill(self, "cumulative")
-        return tuple(itertools.accumulate(map(leaf_count, reversed(self.children)), initial=0))
+        return _fill(self, "cumulative", _running_counts)
 
     @cached_property
     def bounds(self) -> dict[int, tuple[int, ...]]:
         """Memo of block_bounds by rank, filled by value_iteration and
-        shared by every game solved on this tree.  It holds at most
+        shared by every game solved on this tree object.  It holds at most
         leaf_count + 1 entries, one per rank and TOP, and lives as long as
         this node object; it is not a field, so equality, hashing and repr
-        ignore it."""
+        ignore it.  The builders return one root per (n, h) while it fits
+        the intern budget (see _interned), so games of one shape share it."""
         return {}
 
     @cached_property
     def _hash(self) -> int:
-        _fill(self, "_hash")
-        return hash((self.height, self.children))
+        return _fill(self, "_hash", _structural_hash)
 
     def __hash__(self) -> int:
         """Hash of (height, children), computed once per node object, so
@@ -100,19 +101,37 @@ class OrderedTree:
         return True
 
 
-def _fill(t: OrderedTree, name: str) -> None:
-    """Compute cached property ``name`` once per descendant of t lacking it,
-    deepest first: a node is re-stacked beneath its missing children."""
-    stack = list(t.children)
-    while stack:
-        node = stack.pop()
-        if name in node.__dict__:
-            continue
-        missing = [child for child in node.children if name not in child.__dict__]
-        if missing:
-            stack += [node, *missing]
-        else:
-            getattr(node, name)
+def _fill(t: OrderedTree, name: str, formula: Callable[[OrderedTree], object]) -> object:
+    """Set cached property ``name`` to ``formula(node)`` on t and every
+    descendant lacking it, and return t's value.  The nodes lacking it are
+    gathered one depth at a time, each distinct node once, and computed
+    deepest depth first, so a node's children are ready when its formula
+    reads them.  A node's children are read twice: once to gather the next
+    depth, at C speed, and once by its formula."""
+    layers = []
+    layer = [t]
+    while layer:
+        layers.append(layer)
+        kids = list(itertools.chain.from_iterable(node.children for node in layer))
+        layer = [node for node in dict(zip(map(id, kids), kids)).values()
+                 if name not in node.__dict__]
+    for layer in reversed(layers):
+        for node in layer:
+            node.__dict__[name] = formula(node)
+    return t.__dict__[name]
+
+
+def _running_counts(t: OrderedTree) -> tuple[int, ...]:
+    """OrderedTree.cumulative, once the children's are known: each child's
+    count is the last entry of its own, read without a Python call."""
+    if t.height == 1:  # leaf children, one leaf each
+        return tuple(range(len(t.children) + 1))
+    counts = map(itemgetter(-1), map(attrgetter("cumulative"), reversed(t.children)))
+    return tuple(itertools.accumulate(counts, initial=0))
+
+
+def _structural_hash(t: OrderedTree) -> int:
+    return hash((t.height, t.children))
 
 
 LEAF = OrderedTree(0)
@@ -178,29 +197,71 @@ def lift_slots(h: int, d: int) -> tuple[int, ...]:
     return tuple(min(level(d, p), h) + (h + 1 if p % 2 else 0) for p in range(d + 1))
 
 
+INTERN_INTS = 2**16  # ints the interned roots' bounds memos may hold in all, ~2.6 MB
+_interned_roots: dict[tuple[str, int, int], tuple[OrderedTree, int]] = {}  # oldest use first
+_interned_ints = 0
+
+
+def _interned(key: tuple[str, int, int], build: Callable[[], OrderedTree]) -> OrderedTree:
+    """The root ``build()`` makes for ``key``, kept so that later calls
+    return the same object and every game solved on it shares its bounds
+    memo.  A root's memo holds at most (leaf_count + 1) * (2h + 2) ints;
+    the kept roots' total stays within INTERN_INTS, the least recently
+    used root going first, and a root over the whole budget is built
+    afresh on every call."""
+    global _interned_ints
+    if key in _interned_roots:
+        root, ints = _interned_roots.pop(key)
+    else:
+        root = build()
+        ints = (leaf_count(root) + 1) * (2 * root.height + 2)
+        if ints > INTERN_INTS:
+            return root
+        _interned_ints += ints
+        while _interned_ints > INTERN_INTS:  # the dict is in order of last use
+            _interned_ints -= _interned_roots.pop(next(iter(_interned_roots)))[1]
+    _interned_roots[key] = root, ints
+    return root
+
+
 def make_naive_tree(n: int, h: int) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
-    shared across siblings."""
+    shared across siblings.  Calls with the same (n, h) return one root
+    object while it fits the intern budget (see _interned)."""
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got ({n}, {h})")
-    if n**h > NAIVE_LEAF_CAP:
-        raise EnumerationGuardError(f"naive tree would have {n**h} leaves (cap {NAIVE_LEAF_CAP})")
-    node = LEAF
-    for height in range(1, h + 1):
-        node = OrderedTree(height, (node,) * n)
-    return node
+    leaves = 1
+    for _ in range(h):  # at most 20 products before passing the cap when n > 1
+        leaves *= n
+        if leaves > NAIVE_LEAF_CAP:
+            raise EnumerationGuardError(
+                f"naive tree for (n={n}, h={h}) would have over {NAIVE_LEAF_CAP} leaves")
+
+    def build() -> OrderedTree:
+        node = LEAF
+        for height in range(1, h + 1):
+            node = OrderedTree(height, (node,) * n)
+        return node
+
+    return _interned(("naive", n, h), build)
 
 
 def make_succinct_tree(n: int, h: int) -> OrderedTree:
     """The inductively constructed (n, h)-universal tree: the root's
     children are those of the tree for (floor(n/2), h), then the root of
     the tree for (n, h-1), then those of the tree for (n-1-floor(n/2), h).
-    Its leaf count equals bounds.f_recurrence(n, h)."""
+    Its leaf count equals bounds.f_recurrence(n, h).  Every node below the
+    root is shared between calls, and calls with the same (n, h) return
+    one root object while it fits the intern budget (see _interned)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-    for k in range(1, h):  # bottom-up, so the recursion stays O(log n) deep
-        _succinct_children(n, k)
-    return OrderedTree(h, _succinct_children(n, h))
+
+    def build() -> OrderedTree:
+        for k in range(1, h):  # bottom-up, so the recursion stays O(log n) deep
+            _succinct_children(n, k)
+        return OrderedTree(h, _succinct_children(n, h))
+
+    return _interned(("succinct", n, h), build)
 
 
 @lru_cache(maxsize=None)

@@ -306,6 +306,15 @@ class TestBounds:
         assert "| n | h | f(n,h) | g(n,h) |" in out
         assert "| 2 | 2 | 3 | 3 |" in out
 
+    @pytest.mark.parametrize("n_max, h_max", [(2, -1), (0, 3), (0, 0)])
+    def test_empty_range(self, capsys, n_max, h_max):
+        assert main(["bounds", "table", "--n-max", str(n_max),
+                     "--h-max", str(h_max)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: need --n-max >= 1 and --h-max >= 1, got ({n_max}, {h_max})\n")
+
 
 class TestBench:
     def test_sweep(self, capsys):
@@ -320,7 +329,9 @@ class TestBench:
         (["--n", "0"], "error: need n >= 1, got 0"),
         (["--d", "3"], "error: need d even and >= 2, got 3"),
         (["--n", "3", "--min-deg", "2", "--max-deg", "5"], "error: out-degree range"),
-    ], ids=["n0", "odd-d", "degree"])
+        (["--count", "-2"], "error: need --count >= 1, got -2"),
+        (["--count", "0"], "error: need --count >= 1, got 0"),
+    ], ids=["n0", "odd-d", "degree", "count-2", "count0"])
     def test_bad_arguments(self, capsys, args, message):
         assert main(["bench", *args]) == EXIT_INPUT
         captured = capsys.readouterr()

@@ -179,9 +179,9 @@ class TestValueIteration:
     def test_trees_of_one_height_share_no_state(self):
         # naive (9 leaves) and succinct (5 leaves) trees of height 2 share
         # their (h, d) slots and nothing else, whichever runs first; two
-        # trees of one shape share no bounds memo either
+        # equal trees that are separate objects share no bounds memo either
         naive, succinct = make_naive_tree(3, 2), make_succinct_tree(3, 2)
-        twin = make_succinct_tree(3, 2)
+        twin = tree_from_leaf_codes(list(leaf_codes(succinct)), 2)
         assert twin == succinct and twin.bounds is not succinct.bounds
         games = [make(4, [EVE], [1], [(0,)])] + [
             generate_random_game(3, 4, (1, 2), seed) for seed in range(30)]
@@ -226,7 +226,8 @@ class TestTreeMemo:
                 assert held == block_bounds(tree, rank), (tree, rank)
 
     def test_leaves_equality_hash_and_repr_alone(self):
-        used, fresh = make_succinct_tree(4, 2), make_succinct_tree(4, 2)
+        used = make_succinct_tree(4, 2)
+        fresh = tree_from_leaf_codes(list(leaf_codes(used)), 2)
         value_iteration(generate_random_game(4, 4, (1, 2), 3), used)
         assert used.bounds and not fresh.bounds
         assert used == fresh and hash(used) == hash(fresh)
@@ -239,7 +240,20 @@ class TestTreeMemo:
             g = generate_random_game(6, 6, (1, 3), seed)
             h = g.d // 2
             got = value_iteration(g, shared[h])
-            want = value_iteration(g, make_succinct_tree(6, h))
+            want = value_iteration(g, tree_from_leaf_codes(list(leaf_codes(shared[h])), h))
+            assert got[0] == want[0] and got[1] == want[1], seed
+            assert got[2].total == want[2].total and got[2].per_vertex == want[2].per_vertex
+
+    def test_interned_tree_matches_fresh_twin_per_game(self):
+        # the builders return one root per (n, h), so these games all
+        # share its memo; each twin is a separate object with an empty one
+        tree = make_succinct_tree(30, 5)
+        codes = list(leaf_codes(tree))
+        for seed in range(200):
+            g = generate_random_game(30, 10, (1, 2), seed)
+            assert make_succinct_tree(g.n, g.d // 2) is tree
+            twin = tree_from_leaf_codes(codes, 5)
+            got, want = value_iteration(g, tree), value_iteration(g, twin)
             assert got[0] == want[0] and got[1] == want[1], seed
             assert got[2].total == want[2].total and got[2].per_vertex == want[2].per_vertex
 
@@ -255,12 +269,17 @@ class TestTreeMemo:
         assert descents == []
 
     def test_memo_goes_with_the_tree(self):
-        tree = make_succinct_tree(5, 3)
-        value_iteration(generate_random_game(5, 6, (1, 2), 1), tree)
-        assert tree.bounds
-        ref = weakref.ref(tree)
-        del tree
-        assert ref() is None
+        # a tree read from leaf codes, and a builder tree over the intern
+        # budget, which no later call returns again
+        g = generate_random_game(5, 10, (1, 2), 1)
+        for make in (lambda: tree_from_leaf_codes(list(leaf_codes(make_succinct_tree(5, 5))), 5),
+                     lambda: make_succinct_tree(300, 5)):
+            tree = make()
+            value_iteration(g, tree)
+            assert tree.bounds
+            ref = weakref.ref(tree)
+            del tree
+            assert ref() is None
 
 
 class TestValidateSignature:

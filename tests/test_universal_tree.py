@@ -55,6 +55,14 @@ class TestShape:
         with pytest.raises(EnumerationGuardError):
             make_naive_tree(100, 4)
 
+    def test_naive_cap_message_is_short(self):
+        # the guard stops multiplying at the cap, so no 675-digit n^h
+        with pytest.raises(EnumerationGuardError) as info:
+            make_naive_tree(500, 250)
+        message = str(info.value)
+        assert len(message) < 120
+        assert all(part in message for part in ("500", "250", str(universal_tree.NAIVE_LEAF_CAP)))
+
     def test_succinct_leaf_count_matches_f(self):
         for n in range(0, 20):
             for h in range(1, 5):
@@ -187,6 +195,51 @@ class TestShape:
             invalid += expected is not None
             assert outcome(validate_tree, pool[-1]) == expected
         assert 200 < invalid < 1800
+
+
+class TestIntern:
+    """The builders hand out one root per (kind, n, h) within a budget."""
+
+    @staticmethod
+    def memo_ints(root):
+        return (leaf_count(root) + 1) * (2 * root.height + 2)
+
+    def test_one_root_per_shape_within_budget(self):
+        assert make_succinct_tree(30, 5) is make_succinct_tree(30, 5)
+        assert make_naive_tree(3, 4) is make_naive_tree(3, 4)
+        assert make_succinct_tree(3, 4) is not make_naive_tree(3, 4)  # the kind is in the key
+        # 83,458 leaves: over the budget, so built afresh on every call
+        big = make_succinct_tree(300, 5)
+        assert self.memo_ints(big) > universal_tree.INTERN_INTS
+        assert make_succinct_tree(300, 5) is not big
+        assert make_succinct_tree(300, 5) == big
+
+    def test_sweep_stays_within_budget(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "_interned_roots", {})
+        monkeypatch.setattr(universal_tree, "_interned_ints", 0)
+        for n in range(1, 50):
+            for h in range(1, 7):
+                for make in (make_naive_tree, make_succinct_tree):
+                    try:
+                        make(n, h)
+                    except EnumerationGuardError:
+                        continue
+                    kept = [root for root, _ in universal_tree._interned_roots.values()]
+                    total = sum(map(self.memo_ints, kept))
+                    assert total == universal_tree._interned_ints <= universal_tree.INTERN_INTS
+        assert len(kept) > 1 and ("naive", 1, 1) not in universal_tree._interned_roots
+
+    def test_least_recently_used_root_goes_first(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "_interned_roots", {})
+        monkeypatch.setattr(universal_tree, "_interned_ints", 0)
+        # memo sizes 16,824, 8,424 and 25,224 ints: 50,472 in all
+        a, b, c = make_succinct_tree(30, 5), make_succinct_tree(20, 5), make_succinct_tree(36, 5)
+        assert make_succinct_tree(30, 5) is a  # now b is the least recently used
+        make_succinct_tree(31, 5)  # 17,664 more ints: one root must go
+        assert list(universal_tree._interned_roots) == [
+            ("succinct", 36, 5), ("succinct", 30, 5), ("succinct", 31, 5)]
+        assert make_succinct_tree(36, 5) is c and make_succinct_tree(30, 5) is a
+        assert make_succinct_tree(20, 5) is not b
 
 
 class TestLeafCodes:
