@@ -16,9 +16,8 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter, itemgetter
 
-from .bounds import g_recurrence
+from .bounds import f_recurrence, g_recurrence
 
 TOP = "TOP"  # absorbing top element, greater than every leaf in every p-order
 
@@ -61,7 +60,8 @@ class OrderedTree:
         ``cumulative[i]`` to ``cumulative[i + 1] - 1`` of this subtree.
         Computed once per node object, which shared subtrees reuse; it is
         not a field, so equality and hashing ignore it."""
-        return _fill(self, "cumulative", _running_counts)
+        return _fill(self, "cumulative", lambda node: tuple(
+            itertools.accumulate(map(leaf_count, reversed(node.children)), initial=0)))
 
     @cached_property
     def bounds(self) -> dict[int, tuple[int, ...]]:
@@ -75,7 +75,7 @@ class OrderedTree:
 
     @cached_property
     def _hash(self) -> int:
-        return _fill(self, "_hash", _structural_hash)
+        return _fill(self, "_hash", lambda node: hash((node.height, node.children)))
 
     def __hash__(self) -> int:
         """Hash of (height, children), computed once per node object, so
@@ -119,19 +119,6 @@ def _fill(t: OrderedTree, name: str, formula: Callable[[OrderedTree], object]) -
         for node in layer:
             node.__dict__[name] = formula(node)
     return t.__dict__[name]
-
-
-def _running_counts(t: OrderedTree) -> tuple[int, ...]:
-    """OrderedTree.cumulative, once the children's are known: each child's
-    count is the last entry of its own, read without a Python call."""
-    if t.height == 1:  # leaf children, one leaf each
-        return tuple(range(len(t.children) + 1))
-    counts = map(itemgetter(-1), map(attrgetter("cumulative"), reversed(t.children)))
-    return tuple(itertools.accumulate(counts, initial=0))
-
-
-def _structural_hash(t: OrderedTree) -> int:
-    return hash((t.height, t.children))
 
 
 LEAF = OrderedTree(0)
@@ -198,30 +185,30 @@ def lift_slots(h: int, d: int) -> tuple[int, ...]:
 
 
 INTERN_INTS = 2**16  # ints the interned roots' bounds memos may hold in all, ~2.6 MB
-_interned_roots: dict[tuple[str, int, int], tuple[OrderedTree, int]] = {}  # oldest use first
+_interned_roots: dict[tuple[str, int, int], OrderedTree] = {}
 _interned_ints = 0
 
 
-def _interned(key: tuple[str, int, int], build: Callable[[], OrderedTree]) -> OrderedTree:
-    """The root ``build()`` makes for ``key``, kept so that later calls
-    return the same object and every game solved on it shares its bounds
-    memo.  A root's memo holds at most (leaf_count + 1) * (2h + 2) ints;
-    the kept roots' total stays within INTERN_INTS, the least recently
-    used root going first, and a root over the whole budget is built
+def _interned(key: tuple[str, int, int], leaves: int,
+              build: Callable[[], OrderedTree]) -> OrderedTree:
+    """The root ``build()`` makes for ``key`` = (kind, n, h), kept so that
+    later calls return the same object and every game solved on it shares
+    its bounds memo.  That memo holds at most (leaves + 1) * (2h + 2) ints,
+    known from the root's leaf count before anything is built.  The kept
+    roots' total stays within INTERN_INTS: a root that would pass it
+    clears the others first, and a root over the whole budget is built
     afresh on every call."""
     global _interned_ints
-    if key in _interned_roots:
-        root, ints = _interned_roots.pop(key)
-    else:
-        root = build()
-        ints = (leaf_count(root) + 1) * (2 * root.height + 2)
-        if ints > INTERN_INTS:
-            return root
+    ints = (leaves + 1) * (2 * key[2] + 2)
+    if ints > INTERN_INTS:
+        return build()
+    if key not in _interned_roots:
+        if _interned_ints + ints > INTERN_INTS:
+            _interned_roots.clear()
+            _interned_ints = 0
+        _interned_roots[key] = build()
         _interned_ints += ints
-        while _interned_ints > INTERN_INTS:  # the dict is in order of last use
-            _interned_ints -= _interned_roots.pop(next(iter(_interned_roots)))[1]
-    _interned_roots[key] = root, ints
-    return root
+    return _interned_roots[key]
 
 
 def make_naive_tree(n: int, h: int) -> OrderedTree:
@@ -243,7 +230,7 @@ def make_naive_tree(n: int, h: int) -> OrderedTree:
             node = OrderedTree(height, (node,) * n)
         return node
 
-    return _interned(("naive", n, h), build)
+    return _interned(("naive", n, h), leaves, build)
 
 
 def make_succinct_tree(n: int, h: int) -> OrderedTree:
@@ -255,13 +242,11 @@ def make_succinct_tree(n: int, h: int) -> OrderedTree:
     one root object while it fits the intern budget (see _interned)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-
-    def build() -> OrderedTree:
-        for k in range(1, h):  # bottom-up, so the recursion stays O(log n) deep
-            _succinct_children(n, k)
-        return OrderedTree(h, _succinct_children(n, h))
-
-    return _interned(("succinct", n, h), build)
+    for k in range(1, h):  # bottom-up, so neither recursion goes more than O(log n) deep
+        _succinct_children(n, k)
+        f_recurrence(n, k)
+    return _interned(("succinct", n, h), f_recurrence(n, h),
+                     lambda: OrderedTree(h, _succinct_children(n, h)))
 
 
 @lru_cache(maxsize=None)

@@ -224,22 +224,21 @@ class TestIntern:
                         make(n, h)
                     except EnumerationGuardError:
                         continue
-                    kept = [root for root, _ in universal_tree._interned_roots.values()]
+                    kept = list(universal_tree._interned_roots.values())
                     total = sum(map(self.memo_ints, kept))
                     assert total == universal_tree._interned_ints <= universal_tree.INTERN_INTS
         assert len(kept) > 1 and ("naive", 1, 1) not in universal_tree._interned_roots
 
-    def test_least_recently_used_root_goes_first(self, monkeypatch):
+    def test_root_past_budget_clears_the_rest(self, monkeypatch):
         monkeypatch.setattr(universal_tree, "_interned_roots", {})
         monkeypatch.setattr(universal_tree, "_interned_ints", 0)
         # memo sizes 16,824, 8,424 and 25,224 ints: 50,472 in all
         a, b, c = make_succinct_tree(30, 5), make_succinct_tree(20, 5), make_succinct_tree(36, 5)
-        assert make_succinct_tree(30, 5) is a  # now b is the least recently used
-        make_succinct_tree(31, 5)  # 17,664 more ints: one root must go
-        assert list(universal_tree._interned_roots) == [
-            ("succinct", 36, 5), ("succinct", 30, 5), ("succinct", 31, 5)]
-        assert make_succinct_tree(36, 5) is c and make_succinct_tree(30, 5) is a
-        assert make_succinct_tree(20, 5) is not b
+        assert make_succinct_tree(20, 5) is b
+        d = make_succinct_tree(31, 5)  # 17,664 more ints would pass the budget
+        assert list(universal_tree._interned_roots) == [("succinct", 31, 5)]
+        assert universal_tree._interned_ints == self.memo_ints(d)
+        assert make_succinct_tree(31, 5) is d and make_succinct_tree(30, 5) is not a
 
 
 class TestLeafCodes:
