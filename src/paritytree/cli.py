@@ -64,11 +64,14 @@ def _load_tree(spec: str, g: ParityGame) -> universal_tree.OrderedTree:
 
 
 def _parse_policy(spec: str) -> tuple[str, int | None]:
-    if spec.startswith("random:"):
-        return "random", int(spec.split(":", 1)[1])
     if spec in ("fifo", "roundrobin"):
         return spec, None
-    raise ValueError(f"unknown policy {spec!r}")
+    if spec.startswith("random:"):
+        try:
+            return "random", int(spec[len("random:"):])
+        except ValueError:
+            pass
+    raise ValueError(f"unknown policy {spec!r}, expected fifo | roundrobin | random:SEED")
 
 
 def _print_region(region: Region, fmt: str) -> None:

@@ -1,6 +1,6 @@
 """Generic value iteration over an arbitrary universal tree: the per-vertex
-lift operator, the fixed-point loop under pluggable selection policies,
-signature validation, strategy extraction, and lift-count statistics.
+lift operator, one fixed-point loop for every selection policy, signature
+validation, strategy extraction, and lift-count statistics.
 
 Measure values are leaf codes of the chosen tree, or TOP.  TOP is strictly
 greater than every leaf in every p-order, and absorbs: once a vertex hits
@@ -9,7 +9,8 @@ TOP = |T|.  One rule gives every option: the least leaf >=_p a value (>_p
 at odd p) is the start (or end) of the value's block at depth level(p),
 one slot of universal_tree.block_bounds.  Which slot depends only on the
 tree's height and the game's d, so universal_tree.lift_slots memoises the
-slots per (h, d).
+slots per (h, d).  value_iteration writes the lift once, inline in one
+loop; a policy only decides which vertex comes next.
 The bounds themselves are memoised per tree, in OrderedTree.bounds: every
 game solved on one tree object shares them, and they go with the tree.
 The tree builders intern small roots, so games of one (n, d) that each
@@ -142,16 +143,20 @@ def value_iteration(
     winning region; a smaller tree still reaches a fixed point but may
     under-approximate Eve's region.
 
-    Policies: "fifo" (worklist, predecessors re-enqueued on change),
-    "roundrobin" (cyclic passes), "random" (seeded choice among pending
-    vertices).  All policies reach the same fixed point.
+    A policy decides only which vertex is lifted next: "fifo" (worklist,
+    predecessors re-enqueued on change), "roundrobin" (passes in id order
+    while a pass lifts), "random" (seeded choice among pending vertices).
+    All policies reach the same fixed point.
 
-    The loop runs on leaf ranks and returns leaf codes.  Each vertex holds
-    the block bounds of its value, so a successor's option is one lookup.
-    Bounds come from the tree's memo (OrderedTree.bounds): each is computed
-    once per distinct rank reached on this tree object, in this call or an
-    earlier one, and kept as long as the tree.  An interned builder root
-    (universal_tree._interned) carries its memo from game to game.
+    One loop serves every policy and holds the lift rule once.  It runs on
+    leaf ranks and returns leaf codes.  A plan built per call gives each
+    vertex its slot, its first successor and, at out-degree > 1, its owner
+    and other successors.  Each vertex holds the block bounds of its value,
+    so a successor's option is one lookup.  Bounds come from the tree's
+    memo (OrderedTree.bounds): each is computed once per distinct rank
+    reached on this tree object, in this call or an earlier one, and kept
+    as long as the tree; an interned builder root (universal_tree._interned)
+    carries its memo from game to game.
     """
     require_valid(g)
     if policy not in POLICIES:
@@ -168,68 +173,63 @@ def value_iteration(
             bounds_of[rank] = block_bounds(tree, rank)
     held = list(map(bounds_of.__getitem__, mu))
     slot = list(map(lift_slots(tree.height, g.d).__getitem__, g.priority))
-    owner, successors = g.owner, g.successors
+    first = [ws[0] for ws in g.successors]
+    rest = [(o == EVE, ws[1:]) if len(ws) > 1 else None
+            for o, ws in zip(g.owner, g.successors)]
     per_vertex = [0] * n
     started = time.perf_counter()
-    preds = g.predecessors()
+    requeue = [()] * n if policy == "roundrobin" else g.predecessors()
+    if policy == "random":
+        rng = random.Random(seed)
+        work = list(range(n))
 
-    def apply(v: int) -> bool:
-        at = slot[v]
-        ws = successors[v]
-        best = held[ws[0]][at]
-        if owner[v] == EVE:
-            for w in ws:
-                if held[w][at] < best:
-                    best = held[w][at]
-        else:
-            for w in ws:
-                if held[w][at] > best:
-                    best = held[w][at]
-        if best > mu[v]:
-            mu[v] = best
-            found = bounds_of.get(best)
-            if found is None:
-                found = bounds_of[best] = block_bounds(tree, best)
-            held[v] = found
-            per_vertex[v] += 1
-            return True
-        return False
-
-    if policy == "roundrobin":
-        changed = True
-        while changed:
-            changed = False
-            for v in range(n):
-                if apply(v):
-                    changed = True
+        def take() -> int:  # swap the chosen vertex to the end and pop it
+            i = rng.randrange(len(work))
+            work[i], work[-1] = work[-1], work[i]
+            return work.pop()
     else:
-        # worklist of pending vertices; random picks swap the chosen one to
-        # the end and pop it
-        if policy == "fifo":
-            work = deque(range(n))
-            take = work.popleft
-        else:
-            rng = random.Random(seed)
-            work = list(range(n))
-
-            def take() -> int:
-                i = rng.randrange(len(work))
-                work[i], work[-1] = work[-1], work[i]
-                return work.pop()
-
-        queued = [True] * n
+        work = deque(range(n))
+        take = work.popleft
+    queued = [True] * n
+    lifted = True
+    while lifted:  # roundrobin: one pass per round; a worklist empties in one
+        lifted = False
         while work:
             v = take()
             queued[v] = False
-            if apply(v):
-                for u in preds[v]:
+            at = slot[v]
+            best = held[first[v]][at]
+            more = rest[v]
+            if more is not None:
+                eve, ws = more
+                if eve:
+                    for w in ws:
+                        if held[w][at] < best:
+                            best = held[w][at]
+                else:
+                    for w in ws:
+                        if held[w][at] > best:
+                            best = held[w][at]
+            if best > mu[v]:
+                mu[v] = best
+                found = bounds_of.get(best)
+                if found is None:
+                    found = bounds_of[best] = block_bounds(tree, best)
+                held[v] = found
+                per_vertex[v] += 1
+                lifted = True
+                for u in requeue[v]:
                     if not queued[u]:
                         queued[u] = True
                         work.append(u)
+        if policy == "roundrobin":
+            work.extend(range(n))
     stats = LiftStats(sum(per_vertex), per_vertex, time.perf_counter() - started)
+    top = leaf_count(tree)
+    eve_wins = frozenset(v for v in range(n) if mu[v] != top)
     code_of = {rank: rank_to_code(tree, rank) for rank in set(mu)}
-    codes = list(map(code_of.__getitem__, mu))
-    return codes, winning_region_from_measure(codes), stats
+    return (list(map(code_of.__getitem__, mu)),
+            Region(eve_wins, frozenset(range(n)) - eve_wins), stats)
 
 
 def winning_region_from_measure(mu: list[MeasureValue]) -> Region:

@@ -237,26 +237,49 @@ def make_succinct_tree(n: int, h: int) -> OrderedTree:
     """The inductively constructed (n, h)-universal tree: the root's
     children are those of the tree for (floor(n/2), h), then the root of
     the tree for (n, h-1), then those of the tree for (n-1-floor(n/2), h).
-    Its leaf count equals bounds.f_recurrence(n, h).  Every node below the
-    root is shared between calls, and calls with the same (n, h) return
-    one root object while it fits the intern budget (see _interned)."""
+    Its leaf count equals bounds.f_recurrence(n, h).  Equal subtrees are
+    one node object within a build, and across builds while the children
+    cache keeps them (see _succinct_children).  Calls with the same (n, h)
+    return one root object while it fits the intern budget (see _interned)."""
+    global _succinct_held
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
+    if _succinct_held > SUCCINCT_CHILDREN_LIMIT:  # between builds, never during one
+        _succinct_cache.clear()
+        _succinct_held = 0
     for k in range(1, h):  # bottom-up, so neither recursion goes more than O(log n) deep
-        _succinct_children(n, k)
         f_recurrence(n, k)
-    return _interned(("succinct", n, h), f_recurrence(n, h),
-                     lambda: OrderedTree(h, _succinct_children(n, h)))
+
+    def build() -> OrderedTree:
+        for k in range(1, h):  # bottom-up too
+            _succinct_children(n, k)
+        return OrderedTree(h, _succinct_children(n, h))
+
+    return _interned(("succinct", n, h), f_recurrence(n, h), build)
 
 
-@lru_cache(maxsize=None)
+SUCCINCT_CHILDREN_LIMIT = 1 << 18  # children the cached tuples may hold before a clear, ~7 MB
+_succinct_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
+_succinct_held = 0
+
+
 def _succinct_children(n: int, h: int) -> tuple[OrderedTree, ...]:
-    if n == 0:
-        return ()
-    if h == 1:
-        return (LEAF,) * n
-    middle = OrderedTree(h - 1, _succinct_children(n, h - 1))
-    return _succinct_children(n // 2, h) + (middle,) + _succinct_children(n - 1 - n // 2, h)
+    """The root's children in the (n, h) succinct tree, cached by (n, h).
+    A tuple holds n children, and the cache counts them: make_succinct_tree
+    clears it at the start of a build once they pass
+    SUCCINCT_CHILDREN_LIMIT, so the level a build reads stays cached."""
+    global _succinct_held
+    children = _succinct_cache.get((n, h))
+    if children is None:
+        if h == 1 or n == 0:
+            children = (LEAF,) * n
+        else:
+            middle = OrderedTree(h - 1, _succinct_children(n, h - 1))
+            children = (_succinct_children(n // 2, h) + (middle,)
+                        + _succinct_children(n - 1 - n // 2, h))
+        _succinct_cache[n, h] = children
+        _succinct_held += n
+    return children
 
 
 def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:

@@ -54,6 +54,11 @@ class TestSolve:
     def test_bad_policy(self, game_file, capsys):
         assert main(["solve", "-i", game_file, "--policy", "bogus"]) == EXIT_INPUT
         assert "unknown policy" in capsys.readouterr().err
+        for spec in ("random:abc", "random:"):
+            assert main(["solve", "-i", game_file, "--policy", spec]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err == (f"error: unknown policy {spec!r}, "
+                           "expected fifo | roundrobin | random:SEED\n")
 
     def test_emit_signature(self, game_file, capsys):
         assert main(["solve", "-i", game_file, "--algorithm", "zielonka",

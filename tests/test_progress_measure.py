@@ -1,3 +1,4 @@
+import hashlib
 import random
 import weakref
 
@@ -33,6 +34,7 @@ from paritytree.universal_tree import (
     tree_from_leaf_codes,
 )
 from paritytree.zielonka import solve_zielonka
+from families import chain, ladder
 from test_universal_tree import reference_fixed_point, tower
 
 
@@ -280,6 +282,42 @@ class TestTreeMemo:
             ref = weakref.ref(tree)
             del tree
             assert ref() is None
+
+
+class TestLiftSequence:
+    """Which vertex each policy lifts when, pinned by lift counts: a loop
+    that reaches the same fixed point by another sequence fails here."""
+
+    # sha256 of repr() of the 324 per_vertex lists the test below builds
+    PER_VERTEX_SHA256 = "b364e0cbed38f722150e2def883be982afcc952a6d323869793b225e3fedc072"
+
+    def test_per_vertex_counts_of_every_policy(self):
+        lists = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            n, d = rng.randint(2, 30), rng.choice((2, 4, 6, 8, 10))
+            g = generate_random_game(n, d, (1, min(3, n)), seed)
+            trees = [make_succinct_tree(g.n, g.d // 2)]
+            if g.n ** (g.d // 2) <= 10**5:
+                trees.append(make_naive_tree(g.n, g.d // 2))
+            for tree in trees:
+                for policy, policy_seed in (("fifo", None), ("roundrobin", None), ("random", 7)):
+                    lists.append(value_iteration(g, tree, policy, policy_seed)[2].per_vertex)
+        assert len(lists) == 324
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.PER_VERTEX_SHA256
+
+    @pytest.mark.parametrize("game, leaves, total", [
+        (chain(200), 201, 200 * 201 // 2),  # ids along the edges: fifo's worst order
+        (chain(200, reverse=True), 201, 200),
+        (ladder(10), 176, 539),
+        (ladder(16), 1_451, 6_347),
+    ], ids=["chain-200", "chain-200-reversed", "ladder-10", "ladder-16"])
+    def test_family_fifo_totals(self, game, leaves, total):
+        tree = make_succinct_tree(game.n, game.d // 2)
+        assert leaf_count(tree) == leaves
+        _, region, stats = value_iteration(game, tree)
+        assert stats.total == total
+        assert region == solve_zielonka(game)
 
 
 class TestValidateSignature:

@@ -1,5 +1,6 @@
 import random
 import time
+import weakref
 
 import pytest
 
@@ -239,6 +240,29 @@ class TestIntern:
         assert list(universal_tree._interned_roots) == [("succinct", 31, 5)]
         assert universal_tree._interned_ints == self.memo_ints(d)
         assert make_succinct_tree(31, 5) is d and make_succinct_tree(30, 5) is not a
+
+
+class TestSuccinctChildren:
+    """The succinct builder's children cache: shared between builds, and
+    bounded by the children it holds."""
+
+    def test_repeat_builds_reuse_the_children(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "INTERN_INTS", 0)  # every call builds
+        for h in (5, 6):
+            a, b = make_succinct_tree(30, h), make_succinct_tree(30, h)
+            assert a is not b and a.children is b.children
+
+    def test_dropped_trees_are_freed(self):
+        # over the intern budget, so only the cache could keep its nodes
+        middle = weakref.ref(make_succinct_tree(2000, 8).children[1000])
+        assert len(middle().children) == 2000
+        # each build of a new (n, 8) caches at least 8 n children, so these
+        # pass the 2^18 limit, and a build at or after that clears the cache
+        for n in range(2001, 2020):
+            make_succinct_tree(n, 8)
+        assert middle() is None
+        # the last build's 8 levels hold under 4 n children each
+        assert universal_tree._succinct_held <= universal_tree.SUCCINCT_CHILDREN_LIMIT + 32 * n
 
 
 class TestLeafCodes:
