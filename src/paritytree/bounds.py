@@ -12,6 +12,13 @@ from functools import lru_cache
 from math import comb
 
 
+# Entries each recurrence's cache keeps, the least recently used dropped
+# first: ample for a succinct build's halving chains and for every (n, h)
+# with n <= 48 and h <= 7 at once.  Full of f values at n ~ 20,000 and
+# h = 8, the f cache holds ~0.9 MB.
+RECURRENCE_CACHE = 1 << 12
+
+
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -20,7 +27,7 @@ def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RECURRENCE_CACHE)
 def f_recurrence(n: int, h: int) -> int:
     """Leaf count of the succinct (n, h)-universal tree:
     f(n, h) = f(n, h-1) + f(floor(n/2), h) + f(n-1-floor(n/2), h),
@@ -44,7 +51,7 @@ def f_upper_closed(n: int, h: int) -> int:
     return 2**p * comb(p + h - 1, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RECURRENCE_CACHE)
 def g_recurrence(n: int, h: int) -> int:
     """Minimum leaf count forced on any (n, h)-universal tree:
     g(n, h) = sum over delta in [1, n] of g(floor(n/delta), h-1),

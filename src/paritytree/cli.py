@@ -22,14 +22,15 @@ TREES = {"naive": universal_tree.make_naive_tree, "succinct": universal_tree.mak
 
 
 def _read_game(path: str) -> ParityGame:
+    """The game in a file or on stdin ('-'), decoded as UTF-8 with a
+    leading byte-order mark dropped.  The parser checks every invariant
+    of the game it returns."""
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path) as fh:
-            text = fh.read()
-    g = game_core.parse_pgsolver(text)
-    game_core.require_valid(g)
-    return g
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return game_core.parse_pgsolver(data.decode("utf-8-sig"))
 
 
 def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:

@@ -46,7 +46,9 @@ class ParityGame:
     predecessor lists (``predecessors``) and Zielonka's winning region and
     strategy for Eve (``zielonka._region_and_strategy``).  The caches hold
     only because the game cannot change, so the per-vertex tables must be
-    tuples, never lists.
+    tuples, never lists.  ``parse_pgsolver`` fills the violations cache
+    with ``()`` itself, since its own checks imply every invariant, so a
+    parsed game is never scanned for them.
     """
 
     d: int
@@ -155,76 +157,111 @@ def require_valid(g: ParityGame) -> None:
         raise ValueError("invalid game: " + "; ".join(violations))
 
 
-_HEADER_RE = re.compile(r"^parity\s+(\d+)$")
+# The header line and a vertex line (groups: id, priority, owner,
+# successors, quoted name), each with whitespace allowed around it.  In a
+# text rejoined from str.splitlines, "\n" is the only line break left, and
+# [^\S\n] is whitespace within one line.
+_HEADER_RE = re.compile(r"\s*parity[^\S\n]+(\d+)[^\S\n]*;[^\S\n]*$", re.M)
 _VERTEX_RE = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])\s+(\d+(?:\s*,\s*\d+)*)(?:\s+\"([^\"]*)\")?$"
-)
+    r"^[^\S\n]*(\d+)[^\S\n]+(\d+)[^\S\n]+([01])[^\S\n]+(\d+(?:[^\S\n]*,[^\S\n]*\d+)*)"
+    r"(?:[^\S\n]+(\"[^\"\n]*\"))?[^\S\n]*;[^\S\n]*$", re.M)
 
 
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse the line-oriented PGSolver-style format.
 
     Grammar: a header ``parity <max-vertex-id>;``, which must equal the
-    largest vertex id, followed by one line per vertex, ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with
-    owner 0 = Eve and 1 = Adam.  Whitespace-tolerant.  The priority bound d
-    is the maximum priority rounded up to the nearest even number (>= 2).
-    Each line is matched once; a successor outside the vertices is
-    reported at the first line, in line order, that names one, after the
-    dense-id and header checks.
+    largest vertex id, followed by one line per vertex, in any order,
+    ``<id> <priority> <owner> <succ>(,<succ>)* ("name")? ;`` with owner
+    0 = Eve and 1 = Adam.  Lines end at every break ``str.splitlines``
+    honours, and blank lines are skipped.  Whitespace-tolerant.  The
+    priority bound d is the maximum priority rounded up to the nearest
+    even number (>= 2).
+
+    The text is read in one regex scan of its lines, and the tables are
+    built from the scan's columns; ids, header and successors are checked
+    on those columns.  Those checks imply every invariant ``validate_game``
+    checks, so the game comes back marked valid and is never rescanned.
+    A text the scan rejects is walked line by line for its first error
+    (see ``_first_error``).
     """
     lines = text.splitlines()
+    joined = "\n".join(lines)
+    header = _HEADER_RE.match(joined)
+    rows = _VERTEX_RE.findall(joined, header.end()) if header else None
+    n = len(rows) if rows else 0
+    # each row is one whole line, so the scan read the text if the header
+    # and the rows are all its non-blank lines
+    if not n or n + 1 != len(lines) and n + 1 != sum(map(bool, map(str.strip, lines))):
+        raise _first_error(lines)
+    id_texts, priorities, owners, succ_texts, quoted = zip(*rows)
+    ids = list(map(int, id_texts))
+    dense = list(range(n))
+    if ids != dense:
+        if sorted(ids) != dense:
+            raise _first_error(lines)
+        _, priorities, owners, succ_texts, quoted = zip(
+            *[rows[i] for i in sorted(dense, key=ids.__getitem__)])
+    successors = tuple([tuple(map(int, map(str.strip, s.split(",")))) for s in succ_texts])
+    if int(header[1]) != n - 1 or max(map(max, successors)) >= n:
+        raise _first_error(lines)
+    priority = tuple(map(int, priorities))
+    g = ParityGame(
+        d=even_priority_bound(max(priority)),
+        owner=tuple(map(int, owners)),
+        priority=priority,
+        successors=successors,
+        names=tuple([q[1:-1] if q else None for q in quoted]) if any(quoted) else None,
+    )
+    g.__dict__["_violations"] = ()  # the checks above imply every invariant
+    return g
+
+
+def _first_error(lines: list[str]) -> PGParseError:
+    """The error of a text that ``parse_pgsolver``'s scan rejects.  Lines
+    are walked in order for a missing ';', a bad header (the first
+    non-blank line), a malformed vertex line or a repeated id.  Then come,
+    in this order: no header, no vertex lines, ids that are not dense
+    (reported at line 1), a header that does not match the ids, and the
+    first line, in line order, that names a successor outside the
+    vertices."""
     header: tuple[int, int] | None = None  # (line, declared max id)
-    # id -> (priority, owner, successors, name, line, successor text)
-    records: dict[int, tuple[int, int, tuple[int, ...], str | None, int, str]] = {}
+    records: dict[int, tuple[int, str]] = {}  # id -> (line, successor text)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if not line.endswith(";"):
-            raise PGParseError(lineno, "missing terminating ';'")
-        body = line[:-1].strip()
+            return PGParseError(lineno, "missing terminating ';'")
         if header is None:
-            m = _HEADER_RE.match(body)
+            m = _HEADER_RE.match(raw)
             if m is None:
-                raise PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}")
-            header = (lineno, int(m.group(1)))
+                return PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}")
+            header = (lineno, int(m[1]))
             continue
-        m = _VERTEX_RE.match(body)
+        m = _VERTEX_RE.match(raw)
         if m is None:
-            raise PGParseError(lineno, f"malformed vertex line {line!r}")
-        vid, prio, owner, succ_text, name = m.groups()
-        vid = int(vid)
+            return PGParseError(lineno, f"malformed vertex line {line!r}")
+        vid = int(m[1])
         if vid in records:
-            raise PGParseError(lineno, f"duplicate vertex id {vid}")
-        succs = tuple(map(int, map(str.strip, succ_text.split(","))))
-        records[vid] = (int(prio), int(owner), succs, name, lineno, succ_text)
+            return PGParseError(lineno, f"duplicate vertex id {vid}")
+        records[vid] = (lineno, m[4])
     if header is None:
-        raise PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
+        return PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
     if not records:
-        raise PGParseError(len(lines) or 1, "no vertex lines after header")
+        return PGParseError(len(lines) or 1, "no vertex lines after header")
     n = len(records)
     for vid in records:
         if not 0 <= vid < n:
-            raise PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {vid})")
+            return PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {vid})")
     if header[1] != n - 1:
-        raise PGParseError(
+        return PGParseError(
             header[0], f"header declares max id {header[1]}, but the vertices are 0..{n - 1}")
-    for _, _, succs, _, lineno, succ_text in records.values():
-        if max(succs) >= n:
-            s = next(s for s in map(str.strip, succ_text.split(",")) if int(s) >= n)
-            raise PGParseError(lineno, f"successor {s} references an undeclared vertex")
-    priority = tuple(records[v][0] for v in range(n))
-    owner = tuple(records[v][1] for v in range(n))
-    successors = tuple(records[v][2] for v in range(n))
-    raw_names = tuple(records[v][3] for v in range(n))
-    names = raw_names if any(nm is not None for nm in raw_names) else None
-    return ParityGame(
-        d=even_priority_bound(max(priority)),
-        owner=owner,
-        priority=priority,
-        successors=successors,
-        names=names,
-    )
+    for lineno, succ_text in records.values():
+        for s in map(str.strip, succ_text.split(",")):
+            if int(s) >= n:
+                return PGParseError(lineno, f"successor {s} references an undeclared vertex")
+    raise AssertionError("the scan rejected a text that has no error")
 
 
 def write_pgsolver(g: ParityGame) -> str:

@@ -16,12 +16,13 @@ strategy, and every function here reads them.
 
 The classical signature is read off that strategy: once Eve's moves are
 fixed, each of its components is a longest-path count in the graph her
-strategy leaves, one worklist pass per odd priority (``extract_signature``).
+strategy leaves, one worklist pass per odd priority that Eve's region
+holds (``extract_signature``).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
@@ -138,15 +139,23 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
     greatest number of priority-p vertices on a path from v through
     vertices of priority <= p; a vertex of priority > p ends the path and
     counts 0.  No such path repeats a priority-p vertex, so the count is
-    at most |V_p & E| <= n.  Each component is one fifo worklist
-    relaxation over the game's predecessor lists, skipping the edges that
-    graph drops.  Vertices in Adam's region map to TOP.
+    at most |V_p & E| <= n.  E is bucketed by odd priority once, and each
+    odd priority that E holds gets one fifo worklist relaxation over the
+    game's predecessor lists, skipping the edges that graph drops; every
+    other component is 0.  A vertex gets a row of components only when
+    some count reaches it, and the vertices no count reaches share one
+    all-zero tuple.  Vertices in Adam's region map to TOP.
     """
     eve, sigma = _region_and_strategy(g)
     priority, preds = g.priority, g.predecessors()
-    comp = {v: [0] * (g.d // 2) for v in eve}
-    for i, p in enumerate(range(g.d - 1, 0, -2)):
-        top = [v for v in eve if priority[v] == p]
+    width = g.d // 2
+    tops: dict[int, list[int]] = {}  # odd p -> Eve's region's priority-p vertices
+    for v in eve:
+        if priority[v] % 2:
+            tops.setdefault(priority[v], []).append(v)
+    # a row of components for each vertex some count reaches
+    rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
+    for p, top in tops.items():
         count = dict.fromkeys(top, 1)
         work = deque(top)
         queued = set(top)
@@ -166,9 +175,12 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
                     if v not in queued:
                         queued.add(v)
                         work.append(v)
+        i = (g.d - 1 - p) // 2
         for v, c in count.items():
-            comp[v][i] = c
-    mu: dict[int, SignatureTuple | str] = {v: TOP for v in frozenset(g.vertices()) - eve}
+            rows[v][i] = c
+    zero = SignatureTuple((0,) * width)
+    mu: dict[int, SignatureTuple | str] = dict.fromkeys(frozenset(g.vertices()) - eve, TOP)
     for v in eve:
-        mu[v] = SignatureTuple(tuple(comp[v]))
+        row = rows.get(v)
+        mu[v] = zero if row is None else SignatureTuple(tuple(row))
     return mu

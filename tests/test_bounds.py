@@ -18,7 +18,7 @@ from paritytree.bounds import (
     g_recurrence,
 )
 from paritytree.cli import EXIT_INPUT, EXIT_OK, main
-from paritytree.universal_tree import count_trees
+from paritytree.universal_tree import count_trees, make_succinct_tree
 
 
 class TestRecurrences:
@@ -59,6 +59,40 @@ class TestRecurrences:
             f_recurrence(-1, 2)
         with pytest.raises(ValueError):
             g_recurrence(0, 2)
+
+
+class TestRecurrenceCaches:
+    def test_bounded_and_exact(self):
+        memo = {}
+
+        def f(n, h):  # the recurrence over a plain dict
+            if (n, h) not in memo:
+                memo[n, h] = (n if h == 1 or n <= 1
+                              else f(n, h - 1) + f(n // 2, h) + f(n - 1 - n // 2, h))
+            return memo[n, h]
+
+        ns = range(2000, 20000, 7)
+        values = [f_recurrence(n, 8) for n in ns]
+        for cached in (f_recurrence, g_recurrence):
+            info = cached.cache_info()
+            assert info.maxsize == bounds.RECURRENCE_CACHE
+            assert info.currsize <= info.maxsize
+        assert values == [f(n, 8) for n in ns]
+        assert [f_recurrence(n, 8) for n in ns[:20]] == values[:20]  # evicted, recomputed
+
+    def test_grid_and_succinct_builds_keep_hitting(self):
+        def grid():
+            for n in range(1, 49):
+                for h in range(1, 8):
+                    f_recurrence(n, h)
+                    g_recurrence(n, h)
+
+        grid()
+        make_succinct_tree(30, 5)
+        misses = f_recurrence.cache_info().misses, g_recurrence.cache_info().misses
+        grid()
+        make_succinct_tree(30, 5)
+        assert (f_recurrence.cache_info().misses, g_recurrence.cache_info().misses) == misses
 
 
 class TestClosedForms:

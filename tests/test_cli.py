@@ -34,9 +34,28 @@ class TestSolve:
         assert "adam_wins\t\n" in out
 
     def test_stdin(self, game_file, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(GAME))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(GAME.encode())))
         assert main(["solve", "-i", "-", "--algorithm", "zielonka"]) == EXIT_OK
         assert "Eve wins" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["--algorithm", "zielonka", "--emit-signature"],
+        ["--algorithm", "vi", "--stats", "--format", "tsv"],
+    ], ids=["zielonka", "vi"])
+    def test_byte_order_mark(self, tmp_path, capsys, monkeypatch, args):
+        text = write_pgsolver(generate_random_game(12, 6, (1, 3), seed=3))
+        plain, marked = tmp_path / "plain.pg", tmp_path / "marked.pg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(("\ufeff" + text).encode())
+        outputs = []
+        for path in (plain, marked):
+            assert main(["solve", "-i", str(path), *args]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes())))
+        assert main(["solve", "-i", "-", *args]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+        assert outputs[0].out and not outputs[0].err
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_vi_stats(self, game_file, capsys):
         assert main(["solve", "-i", game_file, "--tree", "naive",
@@ -150,6 +169,12 @@ class TestSolve:
         path.write_text("parity 0;\n0 0 0 0\n")
         assert main(["solve", "-i", str(path)]) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.pg"
+        path.write_bytes(b'parity 0;\n0 0 0 0 "\xe9";\n')
+        assert main(["solve", "-i", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
     def test_deep_priority(self, tmp_path, capsys):
         # largest priority 5000: a succinct tree of height 2500

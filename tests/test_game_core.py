@@ -129,6 +129,12 @@ class TestParse:
             parse_pgsolver("parity 0;\n")
         assert "no vertex lines" in str(exc.value)
 
+    def test_byte_order_mark_is_not_whitespace(self):
+        with pytest.raises(PGParseError) as exc:
+            parse_pgsolver("\ufeffparity 0;\n0 0 0 0;\n")
+        assert exc.value.line == 1
+        assert exc.value.message == r"expected header 'parity <max-id>;', got '\ufeffparity 0;'"
+
 
 class TestWrite:
     def test_canonical_form(self):
@@ -228,6 +234,23 @@ class TestPreparedGame:
         valid = validate_game(SIMPLE)
         valid.append("noise")
         assert validate_game(SIMPLE) == []
+
+    def test_parsed_game_is_marked_valid(self):
+        g = parse_pgsolver('parity 2;\n2 0 1 0;\n0 3 0 1,2 "a";\n1 1 1 0;\n')
+        assert vars(g)["_violations"] == ()
+        assert validate_game(g) == []
+
+    def test_hand_built_game_reports_every_violation(self):
+        g = make(3, [0, 2, 1], [-1, 5, 0], [(), (7,), (0,)])
+        assert "_violations" not in vars(g)
+        assert validate_game(g) == [
+            "d=3 is not an even number >= 2",
+            "vertex 1: owner 2 not in {0, 1}",
+            "vertex 0: negative priority -1",
+            "vertex 1: priority exceeds d (5 > 3)",
+            "dead end at vertex 0",
+            "vertex 1: successor 7 out of range [0, 3)",
+        ]
 
     @pytest.mark.parametrize("solve", [
         solve_zielonka,

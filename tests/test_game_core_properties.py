@@ -1,7 +1,10 @@
-"""Property-based differential tests of ``parse_pgsolver`` against the
-two-pass parser it replaced: valid texts parse to the same game and
-round-trip through ``write_pgsolver``, and broken texts raise the same
-``PGParseError`` (line and message)."""
+"""Property-based differential tests of ``parse_pgsolver`` against
+``reference_parse``, the two-pass line parser it replaced: valid texts
+parse to the same game and round-trip through ``write_pgsolver``, and
+broken texts raise the same ``PGParseError`` (line and message).  Texts
+come with every line break ``str.splitlines`` honours, with or without a
+final one, and with numbers in non-ASCII decimal digits, which a scan of
+the whole text must read as the line walk does."""
 
 import re
 
@@ -12,6 +15,7 @@ from paritytree.game_core import (
     PGParseError,
     even_priority_bound,
     parse_pgsolver,
+    validate_game,
     write_pgsolver,
 )
 
@@ -90,23 +94,36 @@ def outcome(parse, text):
 # \x1f is whitespace to the regex (and to str.strip) but not to int()
 blank = st.text(" \t\x1f\u3000", max_size=2)
 gap = st.text(" \t\x1f\u3000", min_size=1, max_size=2)
+# ASCII, Arabic-Indic, fullwidth and Devanagari digits: \d and int() read all four
+scripts = st.sampled_from(["".join(map(chr, range(zero, zero + 10)))
+                           for zero in (0x30, 0x660, 0xFF10, 0x966)])
 number = st.builds(lambda k, zeros: "0" * zeros + str(k), st.integers(0, 12), st.integers(0, 1))
+# every line break str.splitlines honours
+line_breaks = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+
+
+def numeral(draw, k):
+    """k in decimal, in digits of a drawn script."""
+    digits = draw(scripts)
+    return "".join(digits[int(c)] for c in str(k))
 
 
 @st.composite
 def game_lines(draw):
     """The lines of a valid text: a header, then one line per vertex in
-    any order, with blank lines, names and whitespace around fields and
-    commas.  Successors may repeat."""
+    any order, with blank lines, names, numbers in any script and
+    whitespace around fields and commas.  Successors may repeat."""
     n = draw(st.integers(1, 6))
     named = draw(st.booleans())
-    lines = [f"{draw(blank)}parity{draw(gap)}{n - 1}{draw(blank)};{draw(blank)}"]
+    lines = [f"{draw(blank)}parity{draw(gap)}{numeral(draw, n - 1)}{draw(blank)};{draw(blank)}"]
     order = draw(st.permutations(range(n)))
     for v in order:
         succs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-        succ_text = ",".join(f"{draw(blank)}{w}{draw(blank)}" for w in succs).strip(
+        succ_text = ",".join(f"{draw(blank)}{numeral(draw, w)}{draw(blank)}" for w in succs).strip(
             " \t\x1f\u3000")
-        fields = [str(v), str(draw(st.integers(0, 7))), str(draw(st.integers(0, 1))), succ_text]
+        fields = [numeral(draw, v), numeral(draw, draw(st.integers(0, 7))),
+                  str(draw(st.integers(0, 1))), succ_text]
         if named and draw(st.booleans()):
             fields.append('"' + draw(st.text("ab ;,1", max_size=4)) + '"')
         body = "".join(f + draw(gap) for f in fields[:-1]) + fields[-1]
@@ -122,7 +139,17 @@ def _vertex_match(line):
 
 
 @st.composite
-def mutated_texts(draw):
+def joined(draw, lines):
+    """The lines, each ended by a drawn line break, the last one possibly
+    without."""
+    ends = [draw(line_breaks) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@st.composite
+def mutated_lines(draw):
     """A valid text with one to three of: a dangling successor, a changed
     vertex id, a changed header, a repeated line, a missing ';', a garbage
     line, a deleted line.  Each mutation after the first may hit the same
@@ -153,7 +180,7 @@ def mutated_texts(draw):
                          draw(st.text("0 1;,\"p", max_size=6)) + ";")
         else:
             del lines[draw(st.integers(0, len(lines) - 1))]
-    return "\n".join(lines)
+    return lines
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
@@ -166,8 +193,22 @@ def test_valid_texts_match_reference_and_round_trip(lines):
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
-@hypothesis.given(mutated_texts())
+@hypothesis.given(mutated_lines().map("\n".join))
 def test_broken_texts_raise_the_reference_error(text):
+    assert outcome(parse_pgsolver, text) == outcome(reference_parse, text)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(game_lines().flatmap(joined))
+def test_any_line_breaks_match_reference(text):
+    g = parse_pgsolver(text)
+    assert g == reference_parse(text)
+    assert validate_game(g) == []
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(mutated_lines().flatmap(joined))
+def test_broken_texts_with_any_line_breaks_raise_the_reference_error(text):
     assert outcome(parse_pgsolver, text) == outcome(reference_parse, text)
 
 
