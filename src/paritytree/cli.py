@@ -164,10 +164,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    # with --dump, stdout holds only leaf codes, which tree check and
+    # --tree file: read back, and the summary line goes to stderr
+    summary = sys.stderr if getattr(args, "dump", False) else sys.stdout
     if args.tree_cmd == "build":
         t = TREES[args.kind](args.n, args.height)
         print(f"{args.kind}({args.n},{args.height}): "
-              f"{universal_tree.leaf_count(t)} leaves")
+              f"{universal_tree.leaf_count(t)} leaves", file=summary)
         if args.dump:
             sys.stdout.write(universal_tree.dump_leaf_codes(t))
     elif args.tree_cmd == "check":
@@ -181,7 +184,7 @@ def cmd_tree(args) -> int:
             sys.stdout.write(universal_tree.dump_leaf_codes(witness))
     else:  # minimal
         size, witness = universal_tree.find_minimal_universal(args.n, args.height)
-        print(size)
+        print(size, file=summary)
         if args.dump:
             sys.stdout.write(universal_tree.dump_leaf_codes(witness))
     return EXIT_OK

@@ -1,6 +1,7 @@
 """Ordered trees of fixed height with leaf codes and per-priority orders,
 the naive and succinct universal-tree constructions, tree embedding,
-brute-force universality checking, and minimal-universal-tree search.
+universality checking (a composition proof, then brute force), and
+minimal-universal-tree search.
 
 Leaf codes index children from the RIGHT (index 0 = rightmost child,
 increasing leftward), so that plain numeric lexicographic order on codes
@@ -74,6 +75,15 @@ class OrderedTree:
         return {}
 
     @cached_property
+    def proved_n(self) -> int:
+        """The largest n for which composing the children's values proves
+        this node (n, height)-universal, a lower bound on the true one; a
+        leaf holds 0.  Computed once per node object, bottom-up by _fill,
+        so shared subtrees reuse it; it is not a field, so equality and
+        hashing ignore it.  See _proved_n for the rule."""
+        return _fill(self, "proved_n", _proved_n)
+
+    @cached_property
     def _hash(self) -> int:
         return _fill(self, "_hash", lambda node: hash((node.height, node.children)))
 
@@ -119,6 +129,34 @@ def _fill(t: OrderedTree, name: str, formula: Callable[[OrderedTree], object]) -
         for node in layer:
             node.__dict__[name] = formula(node)
     return t.__dict__[name]
+
+
+def _proved_n(node: OrderedTree) -> int:
+    """A leaf parent is (n, 1)-universal for n up to its degree.  A higher
+    node hosts a shape with r leaves when the shape's first child, of a
+    leaves, goes into the first child whose value is at least a, and the
+    rest, r - a leaves, into the children after that one.  proved[j] is
+    the largest r for which this holds for every a in 1..r with children
+    j onward; the node's value is proved[0].  For one j, the leaf counts
+    a that share a first host form a run, and a run's smallest a bounds
+    r the most, so one pass over the hosts settles proved[j]: O(degree^2)."""
+    kids = node.children
+    if node.height <= 1:
+        return len(kids)
+    values = [kid.proved_n for kid in kids]
+    proved = [0] * (len(kids) + 1)
+    for j in range(len(kids) - 1, -1, -1):
+        a, r = 1, len(kids)  # a: least leaf count not yet hosted; r: bound so far, <= degree
+        for i in range(j, len(kids)):
+            if values[i] >= a:
+                r = min(r, a + proved[i + 1])
+                if r <= values[i]:
+                    break
+                a = values[i] + 1
+        else:
+            r = a - 1
+        proved[j] = r
+    return proved[0]
 
 
 LEAF = OrderedTree(0)
@@ -505,17 +543,29 @@ def _trees_over(below: dict[int, tuple[OrderedTree, ...]], n_leaves: int, h: int
 
 
 def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | None]:
-    """Brute-force universality check: every tree with exactly n leaves
-    must embed (checking exactly-n trees suffices).  On failure, returns
-    the first non-embeddable witness in enumeration order.  Accepts the
-    heights embed does: up to 900 under the default recursion limit."""
+    """Whether every tree with exactly n leaves embeds in t (checking
+    exactly-n trees suffices), and if not, the first shape in enumeration
+    order that does not.  The composition rule of t.proved_n answers first,
+    at any height and without enumerating; the trees it leaves unproved,
+    a lower bound being all it gives, are decided by enumerating the
+    shapes, within the enumeration cap and, through _embeds, up to height
+    900 under the default recursion limit."""
     if t.height != h:
         raise ValueError(f"tree height {t.height} != h = {h}")
+    if 0 < n <= t.proved_n:  # a leaf holds 0, so h = 0 is left to the enumeration's error
+        return True, None
+    witness = _first_unembedded(t, n, h)
+    return witness is None, witness
+
+
+def _first_unembedded(t: OrderedTree, n: int, h: int) -> OrderedTree | None:
+    """The first tree with n leaves and height h, in enumeration order,
+    that does not embed in t, or None: the brute-force decision."""
     memo: dict[tuple[int, int], bool] = {}
     for shape in enumerate_trees(n, h):
         if not _embeds(shape, t, memo):
-            return False, shape
-    return True, None
+            return shape
+    return None
 
 
 def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:

@@ -234,11 +234,21 @@ class TestTree:
         assert "11 leaves" in capsys.readouterr().out
 
     def test_build_naive_dump(self, capsys):
+        # stdout holds only leaf codes, so it reads back as a tree file
         assert main(["tree", "build", "--kind", "naive",
                      "--n", "2", "--h", "2", "--dump"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "4 leaves" in out
-        assert "0,0\n0,1\n1,0\n1,1\n" in out
+        captured = capsys.readouterr()
+        assert captured.err == "naive(2,2): 4 leaves\n"
+        assert captured.out == "0,0\n0,1\n1,0\n1,1\n"
+
+    def test_dump_round_trips_through_check(self, tmp_path, capsys):
+        assert main(["tree", "build", "--kind", "succinct",
+                     "--n", "20", "--h", "4", "--dump"]) == EXIT_OK
+        codes = tmp_path / "codes.txt"
+        codes.write_text(capsys.readouterr().out)
+        assert main(["tree", "check", "--n", "20", "--h", "4",
+                     "--file", str(codes)]) == EXIT_OK
+        assert capsys.readouterr().out == "universal for (20,4)\n"
 
     def test_check_universal(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"
@@ -258,9 +268,9 @@ class TestTree:
     def test_minimal(self, capsys):
         assert main(["tree", "minimal", "--n", "2", "--h", "2",
                      "--dump"]) == EXIT_OK
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "3"
-        assert len(out) == 4  # the three leaf codes follow
+        captured = capsys.readouterr()
+        assert captured.err == "3\n"
+        assert len(captured.out.splitlines()) == 3  # the three leaf codes alone
 
     def test_build_large_succinct_counts_without_walking(self, capsys):
         assert main(["tree", "build", "--kind", "succinct",
@@ -276,8 +286,8 @@ class TestTree:
         assert main(["tree", "build", "--kind", "naive", "--n", "1", "--h", "3000",
                      "--dump"]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == "naive(1,3000): 1 leaves\n" + ",".join(["0"] * 3000) + "\n"
-        assert captured.err == ""
+        assert captured.out == ",".join(["0"] * 3000) + "\n"
+        assert captured.err == "naive(1,3000): 1 leaves\n"
 
     def test_minimal_too_deep(self, capsys):
         assert main(["tree", "minimal", "--n", "2", "--h", "3000"]) == EXIT_INPUT
@@ -287,14 +297,14 @@ class TestTree:
         assert captured.err.count("\n") == 1
 
     def test_check_too_deep(self, tmp_path, capsys):
+        # proved by the composition rule, which neither recurses nor enumerates
         codes = tmp_path / "deep.txt"
         codes.write_text(",".join(["0"] * 3000) + "\n")
         assert main(["tree", "check", "--n", "1", "--h", "3000",
-                     "--file", str(codes)]) == EXIT_INPUT
+                     "--file", str(codes)]) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: maximum recursion depth exceeded")
-        assert captured.err.count("\n") == 1
+        assert captured.out == "universal for (1,3000)\n"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("n, h", [(-3, 1), (-1, 2), (0, 2)])
     def test_check_needs_a_leaf(self, tmp_path, capsys, n, h):

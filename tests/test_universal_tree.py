@@ -479,8 +479,8 @@ class TestEmbed:
         tower = tree_from_leaf_codes([(0,) * 3000], 3000)
         with pytest.raises(RecursionError):
             embed(tower, tower)
-        with pytest.raises(RecursionError):
-            is_universal(tower, 1, 3000)
+        # the composition rule proves it without recursing or enumerating
+        assert is_universal(tower, 1, 3000) == (True, None)
 
 
 class TestEnumeration:
@@ -550,6 +550,36 @@ class TestUniversality:
     def test_height_mismatch(self):
         with pytest.raises(ValueError):
             is_universal(make_naive_tree(2, 1), 2, 2)
+
+    def test_succinct_proved_past_the_enumeration_cap(self):
+        assert count_trees(20, 4) > universal_tree.DEFAULT_ENUM_CAP
+        assert is_universal(make_succinct_tree(20, 4), 20, 4) == (True, None)
+
+    def test_constructions_proved_without_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(universal_tree, "enumerate_trees", refuse)
+        for n in range(1, 9):
+            for h in range(1, 5):
+                for t in (make_succinct_tree(n, h), make_naive_tree(n, h)):
+                    assert is_universal(t, n, h) == (True, None), (n, h)
+
+    def test_constructions_pass_brute_force(self):
+        # the enumeration alone, without the rule, still checks every shape
+        for n in range(1, 7):
+            for h in range(1, 4):
+                for t in (make_succinct_tree(n, h), make_naive_tree(n, h)):
+                    assert universal_tree._first_unembedded(t, n, h) is None, (n, h)
+
+    def test_unproved_tree_meets_the_cap(self, monkeypatch):
+        # 4 leaves under one leaf parent are not (2, 2)-universal, so
+        # the check enumerates, and a cap of 1 refuses it
+        monkeypatch.setenv("PARITYTREE_ENUM_CAP", "1")
+        t = OrderedTree(2, (OrderedTree(1, (LEAF,) * 4),))
+        with pytest.raises(EnumerationGuardError):
+            is_universal(t, 2, 2)
+        assert is_universal(make_naive_tree(2, 2), 2, 2) == (True, None)
 
     def test_find_minimal_small(self):
         size, witness = find_minimal_universal(2, 2)

@@ -4,7 +4,8 @@ degrees: ranks follow the leaf order, the lift's block-based least leaf
 >=_p equals the linear-scan oracle, value iteration on ranks reaches the fixed point of
 the leaf-code lift, the greedy embedding agrees with an exact table
 dynamic program, and the minimal search returns the first candidate that
-program accepts for every shape."""
+program accepts for every shape, and a tree the composition rule proves
+universal hosts every shape by that program."""
 
 import itertools
 
@@ -14,7 +15,9 @@ from paritytree.bounds import g_recurrence
 from paritytree.game_core import ADAM, EVE, ParityGame
 from paritytree.progress_measure import value_iteration
 from paritytree.universal_tree import (
+    LEAF,
     TOP,
+    OrderedTree,
     code_to_rank,
     embed,
     enumerate_trees,
@@ -207,6 +210,57 @@ def test_is_universal_finds_the_first_witness(data):
     witness = next(
         (shape for shape in enumerate_trees(n, h) if reference_embed(shape, t) is None), None)
     assert is_universal(t, n, h) == (witness is None, witness)
+
+
+def nested(t):
+    """t as nested lists of children; a leaf is []."""
+    return [nested(child) for child in t.children]
+
+
+def from_nested(node, h):
+    return OrderedTree(h, tuple(from_nested(child, h - 1) for child in node)) if h else LEAF
+
+
+@st.composite
+def grown_trees(draw, h):
+    """A naive or succinct tree of height h with up to four edits: a path
+    to one new leaf inserted at a random depth and sibling position, or a
+    leaf removed with every ancestor it leaves empty.  The
+    edits make universal trees with uneven children and non-universal
+    ones close to universal."""
+    root = nested(draw(built_trees(h)))
+    for _ in range(draw(st.integers(0, 4))):
+        if not root or draw(st.booleans()):
+            node = root
+            depth = draw(st.integers(0, h - 1)) if root else 0
+            for _ in range(depth):
+                node = node[draw(st.integers(0, len(node) - 1))]
+            branch = []
+            for _ in range(h - depth - 1):
+                branch = [branch]
+            node.insert(draw(st.integers(0, len(node))), branch)
+        else:
+            path, node = [], root
+            for _ in range(h):
+                j = draw(st.integers(0, len(node) - 1))
+                path.append((node, j))
+                node = node[j]
+            for parent, j in reversed(path):
+                del parent[j]
+                if parent:
+                    break
+    return from_nested(root, h)
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_proved_trees_host_every_shape(data):
+    h = data.draw(st.integers(1, 4))
+    t = data.draw(grown_trees(h))
+    n = data.draw(st.integers(1, 5))
+    if t.proved_n >= n:
+        for shape in enumerate_trees(n, h):
+            assert reference_embed(shape, t) is not None, shape
 
 
 @pytest.mark.parametrize("n, h", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
