@@ -276,47 +276,37 @@ def make_succinct_tree(n: int, h: int) -> OrderedTree:
     children are those of the tree for (floor(n/2), h), then the root of
     the tree for (n, h-1), then those of the tree for (n-1-floor(n/2), h).
     Its leaf count equals bounds.f_recurrence(n, h).  Equal subtrees are
-    one node object within a build, and across builds while the children
-    cache keeps them (see _succinct_children).  Calls with the same (n, h)
-    return one root object while it fits the intern budget (see _interned)."""
-    global _succinct_held
+    one node object within a build, and separate builds share none.  Calls
+    with the same (n, h) return one root object while it fits the intern
+    budget (see _interned)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-    if _succinct_held > SUCCINCT_CHILDREN_LIMIT:  # between builds, never during one
-        _succinct_cache.clear()
-        _succinct_held = 0
     for k in range(1, h):  # bottom-up, so neither recursion goes more than O(log n) deep
         f_recurrence(n, k)
 
     def build() -> OrderedTree:
+        table: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
         for k in range(1, h):  # bottom-up too
-            _succinct_children(n, k)
-        return OrderedTree(h, _succinct_children(n, h))
+            _succinct_children(n, k, table)
+        return OrderedTree(h, _succinct_children(n, h, table))
 
     return _interned(("succinct", n, h), f_recurrence(n, h), build)
 
 
-SUCCINCT_CHILDREN_LIMIT = 1 << 18  # children the cached tuples may hold before a clear, ~7 MB
-_succinct_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
-_succinct_held = 0
-
-
-def _succinct_children(n: int, h: int) -> tuple[OrderedTree, ...]:
-    """The root's children in the (n, h) succinct tree, cached by (n, h).
-    A tuple holds n children, and the cache counts them: make_succinct_tree
-    clears it at the start of a build once they pass
-    SUCCINCT_CHILDREN_LIMIT, so the level a build reads stays cached."""
-    global _succinct_held
-    children = _succinct_cache.get((n, h))
+def _succinct_children(n: int, h: int,
+                       table: dict[tuple[int, int], tuple[OrderedTree, ...]]
+                       ) -> tuple[OrderedTree, ...]:
+    """The root's children in the (n, h) succinct tree, kept in ``table``
+    by (n, h), so that one build makes each equal subtree once."""
+    children = table.get((n, h))
     if children is None:
         if h == 1 or n == 0:
             children = (LEAF,) * n
         else:
-            middle = OrderedTree(h - 1, _succinct_children(n, h - 1))
-            children = (_succinct_children(n // 2, h) + (middle,)
-                        + _succinct_children(n - 1 - n // 2, h))
-        _succinct_cache[n, h] = children
-        _succinct_held += n
+            middle = OrderedTree(h - 1, _succinct_children(n, h - 1, table))
+            children = (_succinct_children(n // 2, h, table) + (middle,)
+                        + _succinct_children(n - 1 - n // 2, h, table))
+        table[n, h] = children
     return children
 
 
@@ -496,18 +486,18 @@ _tree_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
 _trees_cached = 0
 
 
-def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
+def enumerate_trees(n_leaves: int, h: int):
     """Stream every ordered height-h tree with exactly n_leaves leaves,
     each once, in a deterministic order, built one height at a time.
     Guarded by the enumeration cap (override via the PARITYTREE_ENUM_CAP
     environment variable) on the trees built, those of lower height with
-    at most n_leaves leaves too.  An entry is kept, and later read as is,
-    while the cache holds at most TREE_CACHE_LIMIT trees in all; a lower
-    entry that does not fit is built per call, and a requested one is
-    streamed, so a search that stops early never builds the rest."""
+    at most n_leaves leaves too.  Built entries are kept, and later read
+    as is, in a cache of at most TREE_CACHE_LIMIT trees in all: an entry
+    that would pass that clears the cache first.  An entry over the whole
+    limit is not kept: a lower one is built per call, and a requested one
+    is streamed, so a search that stops early never builds the rest."""
     global _trees_cached
-    if cap is None:
-        cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     rows = _count_rows(n_leaves, h)
     total = rows[-1][n_leaves] + sum(map(sum, rows[:-1]))
     if total > cap:
@@ -520,10 +510,13 @@ def enumerate_trees(n_leaves: int, h: int, cap: int | None = None):
             trees = _tree_cache.get((m, k))
             if trees is None:
                 trees = _trees_over(below, m, k)
-                fits = _trees_cached + rows[k - 1][m] <= TREE_CACHE_LIMIT
+                fits = rows[k - 1][m] <= TREE_CACHE_LIMIT
                 if fits or k < h:
                     trees = tuple(trees)
                 if fits:
+                    if _trees_cached + len(trees) > TREE_CACHE_LIMIT:  # below keeps the lower layer
+                        _tree_cache.clear()
+                        _trees_cached = 0
                     _tree_cache[m, k] = trees
                     _trees_cached += len(trees)
             layer[m] = trees

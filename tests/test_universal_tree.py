@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 import weakref
@@ -243,26 +244,45 @@ class TestIntern:
 
 
 class TestSuccinctChildren:
-    """The succinct builder's children cache: shared between builds, and
-    bounded by the children it holds."""
+    """The succinct builder's table of equal subtrees: owned by one build,
+    so builds share no nodes and a dropped tree is freed at once."""
 
-    def test_repeat_builds_reuse_the_children(self, monkeypatch):
+    @staticmethod
+    def children_ids(t):
+        """The ids of the children tuples of t's distinct internal nodes."""
+        found, stack = set(), [t]
+        while stack:
+            node = stack.pop()
+            if node.height and id(node.children) not in found:
+                found.add(id(node.children))
+                stack.extend(node.children)
+        return found
+
+    def test_repeat_builds_share_no_children(self, monkeypatch):
         monkeypatch.setattr(universal_tree, "INTERN_INTS", 0)  # every call builds
         for h in (5, 6):
             a, b = make_succinct_tree(30, h), make_succinct_tree(30, h)
-            assert a is not b and a.children is b.children
+            assert a is not b and a == b
+            assert not self.children_ids(a) & self.children_ids(b)
 
     def test_dropped_trees_are_freed(self):
-        # over the intern budget, so only the cache could keep its nodes
-        middle = weakref.ref(make_succinct_tree(2000, 8).children[1000])
-        assert len(middle().children) == 2000
-        # each build of a new (n, 8) caches at least 8 n children, so these
-        # pass the 2^18 limit, and a build at or after that clears the cache
-        for n in range(2001, 2020):
-            make_succinct_tree(n, 8)
-        assert middle() is None
-        # the last build's 8 levels hold under 4 n children each
-        assert universal_tree._succinct_held <= universal_tree.SUCCINCT_CHILDREN_LIMIT + 32 * n
+        # over the intern budget, so only the caller keeps its nodes; with
+        # the collector off, a reference cycle would keep them too
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            tree = make_succinct_tree(2000, 8)
+            middle = weakref.ref(tree.children[1000])
+            assert len(middle().children) == 2000
+            del tree
+            assert middle() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_builds_at_any_height(self):
+        # the table is filled bottom-up, so the build never recurses through h
+        assert leaf_count(make_succinct_tree(3, 3000)) == 6001
 
 
 class TestLeafCodes:
@@ -504,20 +524,23 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="need n_leaves >= 1 and h >= 1"):
             next(enumerate_trees(n_leaves, h))
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("PARITYTREE_ENUM_CAP", "100")
         with pytest.raises(EnumerationGuardError):
-            list(enumerate_trees(10, 2, cap=100))
+            list(enumerate_trees(10, 2))
 
     def test_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("PARITYTREE_ENUM_CAP", "1")
         with pytest.raises(EnumerationGuardError):
             list(enumerate_trees(3, 2))
 
-    def test_guard_counts_lower_heights(self):
+    def test_guard_counts_lower_heights(self, monkeypatch):
         # one tree of each height up to 10: the nine below are built too
+        monkeypatch.setenv("PARITYTREE_ENUM_CAP", "9")
         with pytest.raises(EnumerationGuardError, match="^10 trees to build"):
-            list(enumerate_trees(1, 10, cap=9))
-        assert len(list(enumerate_trees(1, 10, cap=10))) == 1
+            list(enumerate_trees(1, 10))
+        monkeypatch.setenv("PARITYTREE_ENUM_CAP", "10")
+        assert len(list(enumerate_trees(1, 10))) == 1
 
     def test_entry_over_the_cache_bound_is_not_kept(self, monkeypatch):
         monkeypatch.setattr(universal_tree, "_tree_cache", {})
@@ -532,6 +555,16 @@ class TestEnumeration:
         assert (18, 2) not in universal_tree._tree_cache
         assert universal_tree._trees_cached == sum(map(len, universal_tree._tree_cache.values()))
         assert universal_tree._trees_cached <= TREE_CACHE_LIMIT
+
+    def test_entry_past_the_limit_clears_the_cache(self, monkeypatch):
+        monkeypatch.setattr(universal_tree, "_tree_cache", {})
+        monkeypatch.setattr(universal_tree, "_trees_cached", 0)
+        for m in range(16, 10, -1):  # 64,528 trees of height 2 and 1
+            next(enumerate_trees(m, 2))
+        find_minimal_universal(2, 5)
+        cache = universal_tree._tree_cache
+        assert (6, 5) in cache
+        assert universal_tree._trees_cached == sum(map(len, cache.values())) <= TREE_CACHE_LIMIT
 
 
 class TestUniversality:
