@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
             mu = zielonka.extract_signature(g)
             for v in g.vertices():
                 val = mu[v]
-                text = "TOP" if val == zielonka.TOP else ",".join(map(str, val.values))
+                text = "TOP" if val == zielonka.TOP else ",".join(map(str, val))
                 print(f"{v}\t{text}")
     else:
         tree = _load_tree(args.tree, g)

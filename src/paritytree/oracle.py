@@ -3,7 +3,8 @@ positional strategies.
 
 Positional determinacy licenses the enumeration: if either player wins
 from a vertex, they win with a positional strategy, so checking every
-(sigma, tau) pair of positional strategies decides every vertex.
+(sigma, tau) pair of positional strategies decides every vertex.  Games
+with more than STRATEGY_CAP strategies for either player are refused.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .game_core import ADAM, EVE, EVEN, ODD, ParityGame, Region, require_valid
 
-DEFAULT_STRATEGY_CAP = 10**6
+STRATEGY_CAP = 10**6  # strategies per player solve_bruteforce will enumerate
 
 
 class OracleSizeError(ValueError):
@@ -79,17 +80,17 @@ def _winners_for_profile(g: ParityGame, nxt: list[int]) -> list[bool]:
     return wins
 
 
-def solve_bruteforce(g: ParityGame, cap: int = DEFAULT_STRATEGY_CAP) -> Region:
+def solve_bruteforce(g: ParityGame) -> Region:
     """Exact winning regions by strategy enumeration.
 
     Eve wins from v iff some positional sigma beats every positional tau
     from v.  Intended for n <= ~8 with small out-degrees; the per-player
-    strategy count is capped to guard against blowup.
+    strategy count is capped at STRATEGY_CAP, read at call time.
     """
     require_valid(g)
-    if _strategy_count(g, EVE) > cap or _strategy_count(g, ADAM) > cap:
+    if max(_strategy_count(g, EVE), _strategy_count(g, ADAM)) > STRATEGY_CAP:
         raise OracleSizeError(
-            f"strategy space exceeds cap {cap}; refusing to enumerate")
+            f"strategy space exceeds cap {STRATEGY_CAP}; refusing to enumerate")
     n = g.n
     eve_wins: set[int] = set()
     adam_verts = [v for v in range(n) if g.owner[v] == ADAM]

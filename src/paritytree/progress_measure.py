@@ -232,12 +232,6 @@ def value_iteration(
             Region(eve_wins, frozenset(range(n)) - eve_wins), stats)
 
 
-def winning_region_from_measure(mu: list[MeasureValue]) -> Region:
-    """Eve wins exactly at the non-TOP vertices."""
-    eve = frozenset(v for v, m in enumerate(mu) if m != TOP)
-    return Region(eve, frozenset(range(len(mu))) - eve)
-
-
 def strategy_from_measure(
     g: ParityGame, tree: OrderedTree, mu: list[MeasureValue]
 ) -> dict[int, int]:

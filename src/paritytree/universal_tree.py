@@ -1,7 +1,8 @@
 """Ordered trees of fixed height with leaf codes and per-priority orders,
 the naive and succinct universal-tree constructions, tree embedding,
 universality checking (a composition proof, then brute force), and
-minimal-universal-tree search.
+minimal-universal-tree search.  The interned roots and the enumerated
+trees outlive a call, each in a size-limited BudgetedCache.
 
 Leaf codes index children from the RIGHT (index 0 = rightmost child,
 increasing leftward), so that plain numeric lexicographic order on codes
@@ -139,20 +140,34 @@ def _proved_n(node: OrderedTree) -> int:
     the largest r for which this holds for every a in 1..r with children
     j onward; the node's value is proved[0].  For one j, the leaf counts
     a that share a first host form a run, and a run's smallest a bounds
-    r the most, so one pass over the hosts settles proved[j]: O(degree^2)."""
+    r the most, so one walk over the hosts settles proved[j].  The hosts
+    from j are the strict prefix maxima of the values from j, so a host
+    i is followed by greater[i], the next index holding a greater value.
+    Filled right to left, greater[j] is found by jumps along the entries
+    already filled, O(degree) for them all, as with a stack.  The hosts'
+    values increase, so a walk meets at most c hosts, c being the number
+    of distinct child values: O(degree * c) per node, which is
+    O(degree^2) only when c is near the degree."""
     kids = node.children
     if node.height <= 1:
         return len(kids)
     values = [kid.proved_n for kid in kids]
-    proved = [0] * (len(kids) + 1)
-    for j in range(len(kids) - 1, -1, -1):
-        a, r = 1, len(kids)  # a: least leaf count not yet hosted; r: bound so far, <= degree
-        for i in range(j, len(kids)):
-            if values[i] >= a:
+    k = len(kids)
+    greater = [k] * k
+    proved = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        i = j + 1
+        while i < k and values[i] <= values[j]:
+            i = greater[i]
+        greater[j] = i
+        a, r, i = 1, k, j  # a: least leaf count not yet hosted; r: bound so far, <= degree
+        while i < k:
+            if values[i] >= a:  # only j itself, at value 0, may not be a host
                 r = min(r, a + proved[i + 1])
                 if r <= values[i]:
                     break
                 a = values[i] + 1
+            i = greater[i]
         else:
             r = a - 1
         proved[j] = r
@@ -160,26 +175,6 @@ def _proved_n(node: OrderedTree) -> int:
 
 
 LEAF = OrderedTree(0)
-
-
-def validate_tree(t: OrderedTree) -> None:
-    """Raise ValueError unless every child sits one level down and every
-    internal node below the root has at least one child.  The child edges
-    are checked depth first, left to right, with an explicit stack; a
-    shared node is descended into only the first time it is met, so the
-    cost is O(edges of distinct nodes) whatever the height."""
-    seen: set[int] = set()
-    stack = [(t, child) for child in reversed(t.children)]
-    while stack:
-        parent, child = stack.pop()
-        if child.height != parent.height - 1:
-            raise ValueError(
-                f"child of height {child.height} under node of height {parent.height}")
-        if child.height > 0 and not child.children:
-            raise ValueError("empty internal node below the root")
-        if id(child) not in seen:
-            seen.add(id(child))
-            stack.extend((child, grandchild) for grandchild in reversed(child.children))
 
 
 def leaf_count(t: OrderedTree) -> int:
@@ -222,31 +217,38 @@ def lift_slots(h: int, d: int) -> tuple[int, ...]:
     return tuple(min(level(d, p), h) + (h + 1 if p % 2 else 0) for p in range(d + 1))
 
 
-INTERN_INTS = 2**16  # ints the interned roots' bounds memos may hold in all, ~2.6 MB
-_interned_roots: dict[tuple[str, int, int], OrderedTree] = {}
-_interned_ints = 0
+class BudgetedCache(dict):
+    """A dict whose values have sizes adding up to ``total`` <= ``limit``."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit, self.total = limit, 0
+
+    def keep(self, key, value, size: int) -> None:
+        """Keep ``value`` unless its size alone passes the limit, clearing
+        the cache first if it would push the total past the limit."""
+        if size <= self.limit:
+            if self.total + size > self.limit:
+                self.clear()
+                self.total = 0
+            self[key] = value
+            self.total += size
+
+
+_interned_roots = BudgetedCache(2**16)  # ints of the kept roots' bounds memos, ~2.6 MB
 
 
 def _interned(key: tuple[str, int, int], leaves: int,
               build: Callable[[], OrderedTree]) -> OrderedTree:
-    """The root ``build()`` makes for ``key`` = (kind, n, h), kept so that
-    later calls return the same object and every game solved on it shares
-    its bounds memo.  That memo holds at most (leaves + 1) * (2h + 2) ints,
-    known from the root's leaf count before anything is built.  The kept
-    roots' total stays within INTERN_INTS: a root that would pass it
-    clears the others first, and a root over the whole budget is built
-    afresh on every call."""
-    global _interned_ints
-    ints = (leaves + 1) * (2 * key[2] + 2)
-    if ints > INTERN_INTS:
-        return build()
-    if key not in _interned_roots:
-        if _interned_ints + ints > INTERN_INTS:
-            _interned_roots.clear()
-            _interned_ints = 0
-        _interned_roots[key] = build()
-        _interned_ints += ints
-    return _interned_roots[key]
+    """The root ``build()`` makes for ``key`` = (kind, n, h), kept in
+    _interned_roots so that later calls return the same object and every
+    game solved on it shares its bounds memo.  The root's size there is
+    the most that memo holds, (leaves + 1) * (2h + 2) ints."""
+    root = _interned_roots.get(key)
+    if root is None:
+        root = build()
+        _interned_roots.keep(key, root, (leaves + 1) * (2 * key[2] + 2))
+    return root
 
 
 def make_naive_tree(n: int, h: int) -> OrderedTree:
@@ -481,9 +483,7 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-TREE_CACHE_LIMIT = 1 << 16  # trees enumerate_trees keeps across calls, ~12 MB
-_tree_cache: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
-_trees_cached = 0
+_tree_cache = BudgetedCache(1 << 16)  # trees enumerate_trees keeps across calls, ~12 MB
 
 
 def enumerate_trees(n_leaves: int, h: int):
@@ -492,11 +492,10 @@ def enumerate_trees(n_leaves: int, h: int):
     Guarded by the enumeration cap (override via the PARITYTREE_ENUM_CAP
     environment variable) on the trees built, those of lower height with
     at most n_leaves leaves too.  Built entries are kept, and later read
-    as is, in a cache of at most TREE_CACHE_LIMIT trees in all: an entry
-    that would pass that clears the cache first.  An entry over the whole
-    limit is not kept: a lower one is built per call, and a requested one
-    is streamed, so a search that stops early never builds the rest."""
-    global _trees_cached
+    as is, in _tree_cache, sized by their tree counts.  An entry that
+    cache would not keep is built per call when it is of lower height, and
+    streamed when it is the one asked for, so a search that stops early
+    never builds the rest."""
     cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     rows = _count_rows(n_leaves, h)
     total = rows[-1][n_leaves] + sum(map(sum, rows[:-1]))
@@ -510,15 +509,11 @@ def enumerate_trees(n_leaves: int, h: int):
             trees = _tree_cache.get((m, k))
             if trees is None:
                 trees = _trees_over(below, m, k)
-                fits = rows[k - 1][m] <= TREE_CACHE_LIMIT
+                fits = rows[k - 1][m] <= _tree_cache.limit
                 if fits or k < h:
                     trees = tuple(trees)
-                if fits:
-                    if _trees_cached + len(trees) > TREE_CACHE_LIMIT:  # below keeps the lower layer
-                        _tree_cache.clear()
-                        _trees_cached = 0
-                    _tree_cache[m, k] = trees
-                    _trees_cached += len(trees)
+                if fits:  # a clearing is safe: below keeps the lower layer
+                    _tree_cache.keep((m, k), trees, len(trees))
             layer[m] = trees
         below = layer
     yield from below[n_leaves]
@@ -585,7 +580,7 @@ def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:
 
 
 def signature_to_tree(
-    mu: dict[int, object], n: int, d: int
+    mu: dict[int, LeafCode | str], n: int, d: int
 ) -> tuple[OrderedTree, dict[int, LeafCode]]:
     """Prefix tree of the distinct non-TOP signature tuples, children
     ordered by descending component value (larger value = further left),
@@ -596,7 +591,7 @@ def signature_to_tree(
     for every pair of assigned vertices.
     """
     h = d // 2
-    tuples = sorted({m.values for m in mu.values() if m != TOP})
+    tuples = sorted({m for m in mu.values() if m != TOP})
     for t in tuples:
         if len(t) != h or any(not 0 <= c <= n for c in t):
             raise ValueError(f"tuple {t} is not in [0, {n}]^{h}")
@@ -611,9 +606,7 @@ def signature_to_tree(
             code.append(seen.setdefault(t[i], len(seen)))
         code_of[t] = tuple(code)
     tree = tree_from_leaf_codes(list(code_of.values()), h) if tuples else OrderedTree(h, ())
-    assignment = {
-        v: code_of[m.values] for v, m in mu.items() if m != TOP}
-    return tree, assignment
+    return tree, {v: code_of[m] for v, m in mu.items() if m != TOP}
 
 
 def dump_leaf_codes(t: OrderedTree) -> str:

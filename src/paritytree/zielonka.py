@@ -17,26 +17,18 @@ strategy, and every function here reads them.
 The classical signature is read off that strategy: once Eve's moves are
 fixed, each of its components is a longest-path count in the graph her
 strategy leaves, one worklist pass per odd priority that Eve's region
-holds (``extract_signature``).
+holds (``extract_signature``).  Signatures are the naive universal tree's
+leaves, as Jurdzinski's small progress measures are: plain leaf codes.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
-from .universal_tree import TOP
+from .universal_tree import TOP, LeafCode
 
 Vertices = frozenset[int] | set[int]
-
-
-@dataclass(frozen=True)
-class SignatureTuple:
-    """Element of [0, n]^{d/2}; position i holds the component for odd
-    priority d-1-2i (most significant first)."""
-
-    values: tuple[int, ...]
 
 
 def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Vertices,
@@ -124,7 +116,7 @@ def eve_winning_strategy(g: ParityGame) -> dict[int, int]:
     return dict(_region_and_strategy(g)[1])
 
 
-def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
+def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     """Classical signature (Jurdzinski's small progress measure) of Eve's
     winning region, read off one positional winning strategy.
 
@@ -139,7 +131,9 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
     greatest number of priority-p vertices on a path from v through
     vertices of priority <= p; a vertex of priority > p ends the path and
     counts 0.  No such path repeats a priority-p vertex, so the count is
-    at most |V_p & E| <= n.  E is bucketed by odd priority once, and each
+    at most |V_p & E| < n, as E holds an even cycle's top.  So mu(v) is a
+    leaf code of make_naive_tree(n, d // 2) whose entry i is the component
+    for odd priority d-1-2i.  E is bucketed by odd priority once, and each
     odd priority that E holds gets one fifo worklist relaxation over the
     game's predecessor lists, skipping the edges that graph drops; every
     other component is 0.  A vertex gets a row of components only when
@@ -178,9 +172,9 @@ def extract_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
         i = (g.d - 1 - p) // 2
         for v, c in count.items():
             rows[v][i] = c
-    zero = SignatureTuple((0,) * width)
-    mu: dict[int, SignatureTuple | str] = dict.fromkeys(frozenset(g.vertices()) - eve, TOP)
+    zero = (0,) * width
+    mu: dict[int, LeafCode | str] = dict.fromkeys(frozenset(g.vertices()) - eve, TOP)
     for v in eve:
         row = rows.get(v)
-        mu[v] = zero if row is None else SignatureTuple(tuple(row))
+        mu[v] = zero if row is None else tuple(row)
     return mu

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from paritytree.game_core import ADAM, EVE, ParityGame
 from paritytree.universal_tree import TOP, OrderedTree, tree_from_leaf_codes
-from paritytree.zielonka import SignatureTuple, _region_and_strategy, attractor
+from paritytree.zielonka import _region_and_strategy, attractor
 
 
 LESS = -1
@@ -26,13 +26,13 @@ EQUAL = 0
 GREATER = 1
 
 
-def tuple_compare(x: SignatureTuple, y: SignatureTuple, p: int, d: int) -> int:
+def tuple_compare(x: tuple[int, ...], y: tuple[int, ...], p: int, d: int) -> int:
     """Lexicographic comparison of the restrictions to odd priorities >= p,
     most significant (largest priority) first."""
-    if len(x.values) != len(y.values):
+    if len(x) != len(y):
         raise ValueError("mismatched tuple lengths")
     keep = d // 2 - p // 2  # number of odd priorities in [p, d]
-    a, b = x.values[:keep], y.values[:keep]
+    a, b = x[:keep], y[:keep]
     return LESS if a < b else GREATER if a > b else EQUAL
 
 
@@ -128,7 +128,7 @@ def _restrict_to_strategy(g: ParityGame, sigma: dict[int, int]) -> ParityGame:
     return ParityGame(g.d, g.owner, g.priority, succs, g.names)
 
 
-def reference_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
+def reference_signature(g: ParityGame) -> dict[int, tuple[int, ...] | str]:
     """For each odd priority p, the priority-<=p part of the game with
     Eve's moves frozen to her strategy is re-solved stage by stage, with
     terminals taken from the winning regions restricted to priorities
@@ -150,20 +150,20 @@ def reference_signature(g: ParityGame) -> dict[int, SignatureTuple | str]:
         if not eve <= seen:
             raise AssertionError(
                 f"vertices {sorted(eve - seen)} won by Eve but missing from all stages at p={p}")
-    mu: dict[int, SignatureTuple | str] = {v: TOP for v in adam}
+    mu: dict[int, tuple[int, ...] | str] = {v: TOP for v in adam}
     for v in eve:
-        mu[v] = SignatureTuple(tuple(comp[v]))
+        mu[v] = tuple(comp[v])
     return mu
 
 
 def reference_signature_to_tree(
-    mu: dict[int, SignatureTuple | str], n: int, d: int
+    mu: dict[int, tuple[int, ...] | str], n: int, d: int
 ) -> tuple[OrderedTree, dict[int, tuple[int, ...]]]:
     """Prefix tree of the distinct non-TOP tuples and each vertex's leaf
     code: entry i of a tuple's code is the rank of its component i among
     the sorted values that tuples sharing its first i components hold."""
     h = d // 2
-    tuples = sorted({m.values for m in mu.values() if m != TOP})
+    tuples = sorted({m for m in mu.values() if m != TOP})
     for t in tuples:
         if len(t) != h or any(not 0 <= c <= n for c in t):
             raise ValueError(f"tuple {t} is not in [0, {n}]^{h}")
@@ -175,4 +175,4 @@ def reference_signature_to_tree(
             code.append(siblings.index(t[i]))
         code_of[t] = tuple(code)
     tree = tree_from_leaf_codes(list(code_of.values()), h) if tuples else OrderedTree(h, ())
-    return tree, {v: code_of[m.values] for v, m in mu.items() if m != TOP}
+    return tree, {v: code_of[m] for v, m in mu.items() if m != TOP}

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from paritytree import oracle
 from paritytree.game_core import ADAM, EVE, EVEN, ODD, ParityGame
 from paritytree.oracle import (
     OracleSizeError,
@@ -59,10 +60,15 @@ def test_split_regions():
     assert region.adam_wins == frozenset({2, 3})
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     g = make(2, [EVE] * 8, [0] * 8, [tuple(range(8))] * 8)
     with pytest.raises(OracleSizeError):
-        solve_bruteforce(g, cap=100)
+        solve_bruteforce(g)  # 8^8 Eve strategies
+    small = make(2, [EVE] * 5, [0] * 5, [(0, 1, 2)] * 5)  # 3^5 Eve strategies
+    assert solve_bruteforce(small).eve_wins == frozenset(range(5))
+    monkeypatch.setattr(oracle, "STRATEGY_CAP", 100)  # read at call time
+    with pytest.raises(OracleSizeError, match="cap 100;"):
+        solve_bruteforce(small)
 
 
 def test_play_outcome():

@@ -22,7 +22,6 @@ from paritytree.progress_measure import (
     validate_signature,
     value_iteration,
     value_leq,
-    winning_region_from_measure,
 )
 from paritytree.universal_tree import (
     TOP,
@@ -367,10 +366,3 @@ class TestStrategyFromMeasure:
         tree = make_naive_tree(2, 1)
         with pytest.raises(ValueError):
             strategy_from_measure(g, tree, [(0,), (0,)])
-
-
-def test_winning_region_from_measure():
-    region = winning_region_from_measure([(0, 0), TOP, (1, 2)])
-    assert region == winning_region_from_measure([(9, 9), TOP, (0, 0)])
-    assert region.eve_wins == frozenset({0, 2})
-    assert region.adam_wins == frozenset({1})

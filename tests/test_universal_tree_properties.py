@@ -5,7 +5,8 @@ degrees: ranks follow the leaf order, the lift's block-based least leaf
 the leaf-code lift, the greedy embedding agrees with an exact table
 dynamic program, and the minimal search returns the first candidate that
 program accepts for every shape, and a tree the composition rule proves
-universal hosts every shape by that program."""
+universal hosts every shape by that program, with the rule's host walk
+equal to its first form, a scan over every later child."""
 
 import itertools
 
@@ -29,6 +30,7 @@ from paritytree.universal_tree import (
     make_succinct_tree,
     rank_to_code,
     tree_from_leaf_codes,
+    _proved_n,
 )
 from test_universal_tree import lift_onto, reference_fixed_point, scan_min_geq
 
@@ -274,3 +276,37 @@ def test_minimal_search_returns_the_first_universal_candidate(n, h):
         if first is not None:
             break
     assert find_minimal_universal(n, h) == (size, first)
+
+
+def scanned_proved_n(values):
+    """The composition rule of universal_tree._proved_n as first written,
+    for a node of height 2 or more whose children hold ``values``: from each
+    j, every later child is scanned, and those hosting no new leaf count
+    are skipped.  O(degree^2)."""
+    proved = [0] * (len(values) + 1)
+    for j in range(len(values) - 1, -1, -1):
+        a, r = 1, len(values)
+        for i in range(j, len(values)):
+            if values[i] >= a:
+                r = min(r, a + proved[i + 1])
+                if r <= values[i]:
+                    break
+                a = values[i] + 1
+        else:
+            r = a - 1
+        proved[j] = r
+    return proved[0]
+
+
+@hypothesis.settings(max_examples=1000, deadline=None, derandomize=True)
+@hypothesis.given(st.lists(st.integers(0, 12), max_size=16),
+                  st.sampled_from(("as drawn", "increasing", "strictly increasing")))
+def test_host_walk_equals_the_scan(values, order):
+    if order == "increasing":
+        values = sorted(values)
+    elif order == "strictly increasing":
+        values = sorted(set(values))
+    # a leaf parent's value is its degree, so these children hold ``values``
+    kids = tuple(OrderedTree(1, (LEAF,) * v) for v in values)
+    for j in range(len(kids) + 1):  # every suffix, so every proved[j]
+        assert _proved_n(OrderedTree(2, kids[j:])) == scanned_proved_n(values[j:])

@@ -11,11 +11,10 @@ from paritytree.game_core import (
     generate_random_game,
 )
 from paritytree.oracle import solve_bruteforce
-from paritytree.universal_tree import signature_to_tree
+from paritytree.universal_tree import make_naive_tree, signature_to_tree
 from paritytree.progress_measure import validate_signature
 from paritytree.zielonka import (
     TOP,
-    SignatureTuple,
     attractor,
     eve_winning_strategy,
     extract_signature,
@@ -82,15 +81,15 @@ def strategy_defect(g, region, sigma):
 class TestTupleCompare:
     # with d = 8 the positions hold the components for priorities 7, 5, 3, 1
     def test_full_lexicographic(self):
-        x = SignatureTuple((2, 2, 3, 0))
-        y = SignatureTuple((1, 5, 5, 5))
+        x = (2, 2, 3, 0)
+        y = (1, 5, 5, 5)
         assert tuple_compare(x, y, 1, 8) == GREATER
         assert tuple_compare(y, x, 1, 8) == LESS
         assert tuple_compare(x, x, 1, 8) == EQUAL
 
     def test_restriction_drops_low_positions(self):
-        x = SignatureTuple((2, 2, 3, 0))
-        y = SignatureTuple((2, 2, 9, 9))
+        x = (2, 2, 3, 0)
+        y = (2, 2, 9, 9)
         # restricted to priorities >= 5 both are (2, 2); p = 4 keeps the
         # same odd positions, p = 3 brings in the third component
         assert tuple_compare(x, y, 5, 8) == EQUAL
@@ -98,19 +97,19 @@ class TestTupleCompare:
         assert tuple_compare(x, y, 3, 8) == LESS
 
     def test_top_priority_restriction_is_vacuous(self):
-        x = SignatureTuple((0, 0))
-        y = SignatureTuple((3, 3))
+        x = (0, 0)
+        y = (3, 3)
         assert tuple_compare(x, y, 4, 4) == EQUAL
 
     def test_even_and_odd_priority_same_keep(self):
-        x = SignatureTuple((1, 0))
-        y = SignatureTuple((0, 9))
+        x = (1, 0)
+        y = (0, 9)
         assert tuple_compare(x, y, 3, 4) == GREATER
         assert tuple_compare(x, y, 2, 4) == GREATER
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            tuple_compare(SignatureTuple((1,)), SignatureTuple((1, 2)), 1, 4)
+            tuple_compare((1,), (1, 2), 1, 4)
 
 
 class TestPre:
@@ -229,7 +228,7 @@ class TestExtractSignature:
             mu = extract_signature(g)
             assert {v for v in g.vertices() if mu[v] == TOP} == set(region.adam_wins)
             for v in region.eve_wins:
-                values = mu[v].values
+                values = mu[v]
                 assert len(values) == g.d // 2
                 assert all(0 <= c <= g.n for c in values)
 
@@ -242,13 +241,23 @@ class TestExtractSignature:
             ok, why = validate_signature(g, tree, as_list)
             assert ok, (seed, why)
 
+    def test_signatures_are_naive_tree_leaf_codes(self):
+        # Jurdzinski's small progress measures are the naive tree's leaves:
+        # the signature validates on that tree as it is, with no conversion
+        for seed in range(600):
+            g = generate_random_game(3 + seed % 6, 2 + 2 * (seed % 3), (1, 3), seed + 9_000)
+            mu = extract_signature(g)
+            tree = make_naive_tree(g.n, g.d // 2)
+            ok, why = validate_signature(g, tree, [mu[v] for v in g.vertices()])
+            assert ok, (seed, why)
+
     def test_known_game(self):
         # forced cycle with priorities {1, 2}: the odd vertex must sit one
         # stage later than the even vertex it feeds
         g = make(2, [EVE, ADAM], [1, 2], [(1,), (0,)])
         mu = extract_signature(g)
-        assert mu[1].values == (0,)
-        assert mu[0].values == (1,)
+        assert mu[1] == (0,)
+        assert mu[0] == (1,)
 
     def test_matches_stage_reference(self):
         for seed in range(300):
@@ -261,7 +270,7 @@ class TestExtractSignature:
         g = make(4, [ADAM, EVE, EVE, EVE, EVE], [0, 1, 1, 4, 0],
                  [(1, 3), (2,), (4,), (0,), (4,)])
         mu = extract_signature(g)
-        assert [mu[v].values for v in range(5)] == [
+        assert [mu[v] for v in range(5)] == [
             (0, 2), (0, 2), (0, 1), (0, 0), (0, 0)]
         assert mu == reference_signature(g)
 
@@ -311,4 +320,4 @@ class TestOneSolvePerGame:
         assert solve_zielonka(g).eve_wins == frozenset(range(n))
         mu = extract_signature(g)
         assert time.perf_counter() - started < 10
-        assert [mu[v].values for v in range(4)] == [(0,), (1,), (0,), (0,)]
+        assert [mu[v] for v in range(4)] == [(0,), (1,), (0,), (0,)]
