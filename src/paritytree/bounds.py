@@ -13,9 +13,8 @@ from math import comb
 
 
 # Entries each recurrence's cache keeps, the least recently used dropped
-# first: ample for a succinct build's halving chains and for every (n, h)
-# with n <= 48 and h <= 7 at once.  Full of f values at n ~ 20,000 and
-# h = 8, the f cache holds ~0.9 MB.
+# first: ample for every (n, h) with n <= 48 and h <= 7 at once.  The tree
+# builders do not fill it.  Full of f values at n ~ 20,000 and h = 8, ~0.9 MB.
 RECURRENCE_CACHE = 1 << 12
 
 
@@ -27,20 +26,33 @@ def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
+def halving_chain(n: int) -> list[int]:
+    """n and every size m -> floor(m/2), m-1-floor(m/2) reaches from it, in
+    increasing order, so 0 first: O(log n) sizes, as each halving reaches
+    at most two adjacent ones.  f and the succinct tree are filled over it."""
+    sizes, todo = set(), [n]
+    while todo:
+        m = todo.pop()
+        if m > 0 and m not in sizes:
+            todo += (m // 2, m - 1 - m // 2)
+        sizes.add(m)
+    return sorted(sizes)
+
+
 @lru_cache(maxsize=RECURRENCE_CACHE)
 def f_recurrence(n: int, h: int) -> int:
     """Leaf count of the succinct (n, h)-universal tree:
     f(n, h) = f(n, h-1) + f(floor(n/2), h) + f(n-1-floor(n/2), h),
-    with f(n, 1) = n, f(1, h) = 1, and f(0, h) = 0."""
+    with f(n, 1) = n and f(0, h) = 0, filled over n's halving chain one
+    height at a time, smaller sizes first, so no call recurses."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-    if n == 0:
-        return 0
-    if h == 1:
-        return n
-    if n == 1:
-        return 1
-    return f_recurrence(n, h - 1) + f_recurrence(n // 2, h) + f_recurrence(n - 1 - n // 2, h)
+    chain = halving_chain(n)
+    f = dict(zip(chain, chain))  # height 1
+    for _ in range(h - 1):
+        for m in chain[1:]:  # f(0, h) stays 0
+            f[m] += f[m // 2] + f[m - 1 - m // 2]
+    return f[n]
 
 
 def f_upper_closed(n: int, h: int) -> int:

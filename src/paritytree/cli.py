@@ -21,32 +21,35 @@ EXIT_DISAGREE = 2
 TREES = {"naive": universal_tree.make_naive_tree, "succinct": universal_tree.make_succinct_tree}
 
 
-def _read_game(path: str) -> ParityGame:
-    """The game in a file or on stdin ('-'), decoded as UTF-8 with a
-    leading byte-order mark dropped.  The parser checks every invariant
-    of the game it returns."""
+def _read_text(path: str) -> str:
+    """The text of a file or of stdin ('-'), decoded as UTF-8 with a
+    leading byte-order mark dropped."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return game_core.parse_pgsolver(data.decode("utf-8-sig"))
+    return data.decode("utf-8-sig")
+
+
+def _read_game(path: str) -> ParityGame:
+    """The game a file or stdin holds, every invariant checked by the parser."""
+    return game_core.parse_pgsolver(_read_text(path))
 
 
 def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
     """One leaf code per line, comma-separated child indices, as written by
     ``tree build --dump``; blank lines are skipped."""
     codes = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                codes.append(tuple(int(x) for x in line.split(",")))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed leaf code {line!r}, "
-                                 "expected comma-separated integers") from None
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            codes.append(tuple(int(x) for x in line.split(",")))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed leaf code {line!r}, "
+                             "expected comma-separated integers") from None
     return codes
 
 
@@ -100,9 +103,7 @@ def cmd_solve(args) -> int:
         if args.emit_signature:
             mu = zielonka.extract_signature(g)
             for v in g.vertices():
-                val = mu[v]
-                text = "TOP" if val == zielonka.TOP else ",".join(map(str, val))
-                print(f"{v}\t{text}")
+                print(f"{v}\t{universal_tree.code_text(mu[v])}")
     else:
         tree = _load_tree(args.tree, g)
         policy, seed = _parse_policy(args.policy)
@@ -111,9 +112,7 @@ def cmd_solve(args) -> int:
         tree_leaves = universal_tree.leaf_count(tree)
         if args.stats:
             for v in g.vertices():
-                val = mu[v]
-                text = "TOP" if val == universal_tree.TOP else ",".join(map(str, val))
-                print(f"{v}\t{stats.per_vertex[v]}\t{text}")
+                print(f"{v}\t{stats.per_vertex[v]}\t{universal_tree.code_text(mu[v])}")
     elapsed = time.perf_counter() - started
     _print_region(region, args.format)
     if tree_leaves is not None and args.format != "tsv":

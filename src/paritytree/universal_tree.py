@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bounds import f_recurrence, g_recurrence
+from .bounds import g_recurrence, halving_chain
 
 TOP = "TOP"  # absorbing top element, greater than every leaf in every p-order
 
@@ -238,16 +238,15 @@ class BudgetedCache(dict):
 _interned_roots = BudgetedCache(2**16)  # ints of the kept roots' bounds memos, ~2.6 MB
 
 
-def _interned(key: tuple[str, int, int], leaves: int,
-              build: Callable[[], OrderedTree]) -> OrderedTree:
+def _interned(key: tuple[str, int, int], build: Callable[[], OrderedTree]) -> OrderedTree:
     """The root ``build()`` makes for ``key`` = (kind, n, h), kept in
     _interned_roots so that later calls return the same object and every
     game solved on it shares its bounds memo.  The root's size there is
-    the most that memo holds, (leaves + 1) * (2h + 2) ints."""
+    the most that memo holds, (leaf_count + 1) * (2h + 2) ints."""
     root = _interned_roots.get(key)
     if root is None:
         root = build()
-        _interned_roots.keep(key, root, (leaves + 1) * (2 * key[2] + 2))
+        _interned_roots.keep(key, root, (leaf_count(root) + 1) * (2 * key[2] + 2))
     return root
 
 
@@ -270,46 +269,30 @@ def make_naive_tree(n: int, h: int) -> OrderedTree:
             node = OrderedTree(height, (node,) * n)
         return node
 
-    return _interned(("naive", n, h), leaves, build)
+    return _interned(("naive", n, h), build)
 
 
 def make_succinct_tree(n: int, h: int) -> OrderedTree:
     """The inductively constructed (n, h)-universal tree: the root's
     children are those of the tree for (floor(n/2), h), then the root of
     the tree for (n, h-1), then those of the tree for (n-1-floor(n/2), h).
-    Its leaf count equals bounds.f_recurrence(n, h).  Equal subtrees are
-    one node object within a build, and separate builds share none.  Calls
-    with the same (n, h) return one root object while it fits the intern
-    budget (see _interned)."""
+    Its leaf count is bounds.f_recurrence(n, h).  The build fills children
+    over n's halving chain, as f is filled, so it does not recurse; equal
+    subtrees are one node object within a build, and builds share none.
+    Calls with the same (n, h) return one root object while it fits the
+    intern budget (see _interned)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-    for k in range(1, h):  # bottom-up, so neither recursion goes more than O(log n) deep
-        f_recurrence(n, k)
 
     def build() -> OrderedTree:
-        table: dict[tuple[int, int], tuple[OrderedTree, ...]] = {}
-        for k in range(1, h):  # bottom-up too
-            _succinct_children(n, k, table)
-        return OrderedTree(h, _succinct_children(n, h, table))
+        chain = halving_chain(n)
+        kids = {m: (LEAF,) * m for m in chain}  # height 1
+        for k in range(2, h + 1):
+            for m in chain[1:]:  # size 0 has no children
+                kids[m] = kids[m // 2] + (OrderedTree(k - 1, kids[m]),) + kids[m - 1 - m // 2]
+        return OrderedTree(h, kids[n])
 
-    return _interned(("succinct", n, h), f_recurrence(n, h), build)
-
-
-def _succinct_children(n: int, h: int,
-                       table: dict[tuple[int, int], tuple[OrderedTree, ...]]
-                       ) -> tuple[OrderedTree, ...]:
-    """The root's children in the (n, h) succinct tree, kept in ``table``
-    by (n, h), so that one build makes each equal subtree once."""
-    children = table.get((n, h))
-    if children is None:
-        if h == 1 or n == 0:
-            children = (LEAF,) * n
-        else:
-            middle = OrderedTree(h - 1, _succinct_children(n, h - 1, table))
-            children = (_succinct_children(n // 2, h, table) + (middle,)
-                        + _succinct_children(n - 1 - n // 2, h, table))
-        table[n, h] = children
-    return children
+    return _interned(("succinct", n, h), build)
 
 
 def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:
@@ -609,9 +592,14 @@ def signature_to_tree(
     return tree, {v: code_of[m] for v, m in mu.items() if m != TOP}
 
 
+def code_text(code: LeafCode | str) -> str:
+    """A leaf code as comma-separated indices, or TOP as is."""
+    return TOP if code == TOP else ",".join(map(str, code))
+
+
 def dump_leaf_codes(t: OrderedTree) -> str:
-    """One line per leaf, the code as comma-separated indices, in leaf order."""
-    return "".join(",".join(str(i) for i in code) + "\n" for code in leaf_codes(t))
+    """One line per leaf, its code_text, in leaf order."""
+    return "".join(code_text(code) + "\n" for code in leaf_codes(t))
 
 
 def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:

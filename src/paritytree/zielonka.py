@@ -32,13 +32,12 @@ Vertices = frozenset[int] | set[int]
 
 
 def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Vertices,
-              player: int, moves: Vertices | None = None,
-              sigma: dict[int, int] | None = None) -> set[int]:
+              player: int, moves: Vertices, sigma: dict[int, int] | None = None) -> set[int]:
     """``target`` plus the vertices of ``arena`` from which ``player`` forces
     a visit to it.  A vertex of the opponent joins once all its successors
-    in ``moves`` (every successor when None) have joined.  When ``player``
-    is Eve and ``sigma`` is given, each of her vertices that joins records
-    the successor it joined through."""
+    in ``moves`` have joined.  When ``player`` is Eve and ``sigma`` is
+    given, each of her vertices that joins records the successor it joined
+    through."""
     owner, succs = g.owner, g.successors
     attr = set(target)
     queue = list(attr)
@@ -50,7 +49,7 @@ def attractor(g: ParityGame, preds: list[list[int]], arena: Vertices, target: Ve
             if owner[v] != player:
                 k = left.get(v)
                 if k is None:
-                    k = len(set(succs[v]) if moves is None else moves.intersection(succs[v]))
+                    k = len(moves.intersection(succs[v]))
                 if k > 1:
                     left[v] = k - 1
                     continue

@@ -92,10 +92,12 @@ def _solve_terminals(g: ParityGame, preds: list[list[int]], active: frozenset[in
                      win: frozenset[int], lose: frozenset[int]) -> frozenset[int]:
     """Eve's winning vertices of ``active`` when a play stops with her win
     at ``win`` and her loss at ``lose``.  What neither player can force to
-    a terminal is a subgame that either player leaves only to lose."""
-    reach = attractor(g, preds, active, win, EVE)
+    a terminal is a subgame that either player leaves only to lose.  Every
+    successor counts as a move, terminals and the rest of the game too."""
+    moves = frozenset(g.vertices())
+    reach = attractor(g, preds, active, win, EVE, moves)
     trapped = active - reach
-    avoid = attractor(g, preds, trapped, lose, ADAM)
+    avoid = attractor(g, preds, trapped, lose, ADAM, moves)
     return frozenset((reach - win) | _eve_wins(g, preds, trapped - avoid))
 
 

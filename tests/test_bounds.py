@@ -16,9 +16,10 @@ from paritytree.bounds import (
     f_upper_closed,
     g_lower_closed,
     g_recurrence,
+    halving_chain,
 )
 from paritytree.cli import EXIT_INPUT, EXIT_OK, main
-from paritytree.universal_tree import count_trees, make_succinct_tree
+from paritytree.universal_tree import count_trees, leaf_count, make_succinct_tree
 
 
 class TestRecurrences:
@@ -51,6 +52,21 @@ class TestRecurrences:
                 assert f_recurrence(n, h) <= f_recurrence(n, h + 1)
                 assert g_recurrence(n, h) <= g_recurrence(n + 1, h)
                 assert g_recurrence(n, h) <= g_recurrence(n, h + 1)
+
+    def test_f_at_any_height(self):
+        # filled bottom-up over the halving chain, so h is not a call depth
+        assert f_recurrence(2, 3000) == 3001
+        assert f_recurrence(3, 3000) == 6001 == leaf_count(make_succinct_tree(3, 3000))
+
+    def test_halving_chain(self):
+        assert halving_chain(0) == [0]
+        assert halving_chain(1) == [0, 1]
+        assert halving_chain(5) == [0, 1, 2, 5]
+        for n in range(200):
+            chain = halving_chain(n)
+            assert chain == sorted(set(chain)) and n in chain
+            assert {half for m in chain if m for half in (m // 2, m - 1 - m // 2)} <= set(chain)
+        assert len(halving_chain(10**4)) == 26
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -325,6 +325,20 @@ class TestTree:
             f"error: {codes}:3: malformed leaf code '1,x', "
             "expected comma-separated integers\n")
 
+    def test_codes_file_byte_order_mark(self, tmp_path, capsys, game_file):
+        # leaf-code files are decoded as game files are: UTF-8, mark dropped
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"0\n1\n")  # two leaves at height 1, the game's d / 2
+        marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            assert main(["tree", "check", "--n", "2", "--h", "1", "--file", str(path)]) == EXIT_OK
+            assert main(["solve", "-i", game_file, "--tree", f"file:{path}",
+                         "--format", "tsv"]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out.startswith("universal for (2,1)\neve_wins\t0 1\n")
+        assert outputs[1] == outputs[0]
+
     def test_bad_codes_file(self, tmp_path, capsys):
         codes = tmp_path / "codes.txt"
         codes.write_text("0,0\n2,0\n")

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import time
 import weakref
@@ -293,6 +294,39 @@ class TestSuccinctChildren:
     def test_builds_at_any_height(self):
         # the table is filled bottom-up, so the build never recurses through h
         assert leaf_count(make_succinct_tree(3, 3000)) == 6001
+
+    @staticmethod
+    def distinct_nodes(t):
+        seen, stack = set(), [t]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.children)
+        return len(seen)
+
+    def test_codes_and_sharing_pinned(self):
+        # the leaf codes and node counts of the recursive build, over the
+        # same grid: a bottom-up build must reproduce them exactly
+        digest, nodes = hashlib.sha256(), 0
+        for n in range(41):
+            for h in range(1, 7):
+                t = make_succinct_tree(n, h)
+                digest.update(f"{n},{h}\n{dump_leaf_codes(t)}".encode())
+                nodes += self.distinct_nodes(t)
+        assert digest.hexdigest() == (
+            "ea4a3dd9885d2d2550cb1e444d0832827630f6037aee5066d82382978f7ff4da")
+        assert nodes == 4056
+        assert self.distinct_nodes(make_succinct_tree(10**4, 10)) == 227
+
+    def test_builders_leave_the_f_cache_alone(self, monkeypatch):
+        # a kept root is sized from its own leaf count, not from f
+        fresh_cache(monkeypatch, "_interned_roots")
+        before = f_recurrence.cache_info()
+        for n, h in ((1234, 7), (30, 5), (3, 4)):
+            make_succinct_tree(n, h)
+            make_naive_tree(n % 10 + 1, 3)
+        assert f_recurrence.cache_info() == before
 
 
 class TestLeafCodes:

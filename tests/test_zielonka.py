@@ -131,13 +131,13 @@ class TestReachSafe:
         # 0 -> 1 -> terminal win 2; Adam at 1 cannot deviate
         g = make(2, [EVE, ADAM, EVE], [1, 1, 0], [(1,), (2,), (2,)])
         sigma = {}
-        attr = attractor(g, g.predecessors(), {0, 1}, {2}, EVE, sigma=sigma)
+        attr = attractor(g, g.predecessors(), {0, 1}, {2}, EVE, frozenset(g.vertices()), sigma)
         assert attr == {0, 1, 2}
         assert sigma == {0: 1}
 
     def test_adam_avoids(self):
         g = make(2, [EVE, ADAM, EVE], [1, 1, 0], [(1,), (0, 2), (2,)])
-        assert attractor(g, g.predecessors(), {0, 1}, {2}, EVE) == {2}
+        assert attractor(g, g.predecessors(), {0, 1}, {2}, EVE, frozenset(g.vertices())) == {2}
 
     def test_moves_outside_the_subgame_do_not_count(self):
         # Adam's escape 1 -> 0 leaves the subgame {1, 2}, so it is no move
@@ -146,7 +146,7 @@ class TestReachSafe:
 
     def test_duplicate_successors_count_once(self):
         g = make(2, [ADAM, EVE], [1, 0], [(1, 1), (1,)])
-        assert attractor(g, g.predecessors(), {0, 1}, {1}, EVE) == {0, 1}
+        assert attractor(g, g.predecessors(), {0, 1}, {1}, EVE, frozenset(g.vertices())) == {0, 1}
 
 
 class TestSolve:
