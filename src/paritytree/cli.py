@@ -32,11 +32,6 @@ def _read_text(path: str) -> str:
     return data.decode("utf-8-sig")
 
 
-def _read_game(path: str) -> ParityGame:
-    """The game a file or stdin holds, every invariant checked by the parser."""
-    return game_core.parse_pgsolver(_read_text(path))
-
-
 def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
     """One leaf code per line, comma-separated child indices, as written by
     ``tree build --dump``; blank lines are skipped."""
@@ -90,7 +85,7 @@ def _print_region(region: Region, fmt: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _read_game(args.input)
+    g = game_core.parse_pgsolver(_read_text(args.input))
     if args.cross_check:
         return _cross_check(g, args)
 

@@ -152,14 +152,16 @@ def require_valid(g: ParityGame) -> None:
         raise ValueError("invalid game: " + "; ".join(violations))
 
 
-# The header line and a vertex line (groups: id, priority, owner,
-# successors, quoted name), each with whitespace allowed around it.  In a
-# text rejoined from str.splitlines, "\n" is the only line break left, and
-# [^\S\n] is whitespace within one line.
+# The header line, and any line after it: a vertex line's id, priority, owner, successors
+# and quoted name, or else the line's stripped text (empty if blank).  In a text rejoined
+# from str.splitlines, "\n" is the only line break, so [^\S\n] is whitespace within a line.
+# The text group is greedy, so it steps back over trailing whitespace only; a lazy (.*?)
+# would retry the pattern's tail at every character, quadratic in the line's length.
 _HEADER_RE = re.compile(r"\s*parity[^\S\n]+(\d+)[^\S\n]*;[^\S\n]*$", re.M)
-_VERTEX_RE = re.compile(
-    r"^[^\S\n]*(\d+)[^\S\n]+(\d+)[^\S\n]+([01])[^\S\n]+(\d+(?:[^\S\n]*,[^\S\n]*\d+)*)"
-    r"(?:[^\S\n]+(\"[^\"\n]*\"))?[^\S\n]*;[^\S\n]*$", re.M)
+_ROW_RE = re.compile(
+    r"^[^\S\n]*(?:(\d+)[^\S\n]+(\d+)[^\S\n]+([01])[^\S\n]+(\d+(?:[^\S\n]*,[^\S\n]*\d+)*)"
+    r"(?:[^\S\n]+(\"[^\"\n]*\"))?[^\S\n]*;|(.*\S)?)[^\S\n]*$", re.M)
+_BLANK = ("",) * 6  # the row of a blank line
 
 
 def parse_pgsolver(text: str) -> ParityGame:
@@ -173,33 +175,57 @@ def parse_pgsolver(text: str) -> ParityGame:
     priority bound d is the maximum priority rounded up to the nearest
     even number (>= 2).
 
-    The text is read in one regex scan of its lines, and the tables are
-    built from the scan's columns; ids, header and successors are checked
-    on those columns.  Those checks imply every invariant ``validate_game``
-    checks, so the game comes back marked valid and is never rescanned.
-    A text the scan rejects is walked line by line for its first error
-    (see ``_first_error``).
+    The text after the header is read in one regex scan, one row per
+    line; the tables are built from the vertex rows' columns and checked
+    there.  The checks imply every invariant ``validate_game`` checks, so
+    the game comes back marked valid and is never rescanned.  A failed
+    check walks the same rows for the first error: per line, a missing
+    ';', a bad header (the first non-blank line), a malformed vertex line
+    or a repeated id; then no header, no vertex lines, ids not dense (at
+    line 1), a header not matching them, and the first undeclared successor.
     """
     lines = text.splitlines()
     joined = "\n".join(lines)
     header = _HEADER_RE.match(joined)
-    rows = _VERTEX_RE.findall(joined, header.end()) if header else None
-    n = len(rows) if rows else 0
-    # each row is one whole line, so the scan read the text if the header
-    # and the rows are all its non-blank lines
-    if not n or n + 1 != len(lines) and n + 1 != sum(map(bool, map(str.strip, lines))):
-        raise _first_error(lines)
-    id_texts, priorities, owners, succ_texts, quoted = zip(*rows)
-    ids = list(map(int, id_texts))
+    if header is None:
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            if line:
+                raise PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}"
+                                   if line.endswith(";") else "missing terminating ';'")
+        raise PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
+    rows = _ROW_RE.findall(joined, header.end())
+    table = [row for row in rows if row != _BLANK] if _BLANK in rows else rows
+    n = len(table)
+    id_texts, priorities, owners, succ_texts, quoted, others = zip(*table) if n else [()] * 6
+    ids = [] if any(others) else list(map(int, id_texts))  # [] sends other lines to the walk
     dense = list(range(n))
-    if ids != dense:
-        if sorted(ids) != dense:
-            raise _first_error(lines)
-        _, priorities, owners, succ_texts, quoted = zip(
-            *[rows[i] for i in sorted(dense, key=ids.__getitem__)])
-    successors = tuple([tuple(map(int, map(str.strip, s.split(",")))) for s in succ_texts])
-    if int(header[1]) != n - 1 or max(map(max, successors)) >= n:
-        raise _first_error(lines)
+    if ids != dense and sorted(ids) == dense:
+        _, priorities, owners, succ_texts, quoted, _ = zip(
+            *[table[i] for i in sorted(dense, key=ids.__getitem__)])
+        ids = dense
+    successors = tuple([tuple(map(int, map(str.strip, s.split(",")))) for s in succ_texts]
+                       if ids else ())
+    if not ids or ids != dense or int(header[1]) != n - 1 or max(map(max, successors)) >= n:
+        header_line = joined.count("\n", 0, header.end()) + 1
+        seen: dict[int, int] = {}  # id -> its first line
+        dangling = []  # (line, message) per undeclared successor, in line order
+        for lineno, (vid, _, _, succ_text, _, other) in enumerate(rows, header_line + 1):
+            if other:
+                raise PGParseError(lineno, f"malformed vertex line {other!r}"
+                                   if other.endswith(";") else "missing terminating ';'")
+            if vid and seen.setdefault(int(vid), lineno) != lineno:
+                raise PGParseError(lineno, f"duplicate vertex id {int(vid)}")
+            dangling += [(lineno, f"successor {s} references an undeclared vertex")
+                         for s in map(str.strip, succ_text.split(",")) if vid and int(s) >= n]
+        if not n:
+            raise PGParseError(len(lines), "no vertex lines after header")
+        if max(seen) >= n:  # n distinct ids: dense unless one is n or more
+            found = next(v for v in seen if v >= n)
+            raise PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {found})")
+        if int(header[1]) != n - 1:
+            raise PGParseError(header_line, f"header declares max id {int(header[1])}, "
+                                            f"but the vertices are 0..{n - 1}")
+        raise PGParseError(*dangling[0])
     priority = tuple(map(int, priorities))
     g = ParityGame(
         d=even_priority_bound(max(priority)),
@@ -210,53 +236,6 @@ def parse_pgsolver(text: str) -> ParityGame:
     )
     g.__dict__["_violations"] = ()  # the checks above imply every invariant
     return g
-
-
-def _first_error(lines: list[str]) -> PGParseError:
-    """The error of a text that ``parse_pgsolver``'s scan rejects.  Lines
-    are walked in order for a missing ';', a bad header (the first
-    non-blank line), a malformed vertex line or a repeated id.  Then come,
-    in this order: no header, no vertex lines, ids that are not dense
-    (reported at line 1), a header that does not match the ids, and the
-    first line, in line order, that names a successor outside the
-    vertices."""
-    header: tuple[int, int] | None = None  # (line, declared max id)
-    records: dict[int, tuple[int, str]] = {}  # id -> (line, successor text)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.endswith(";"):
-            return PGParseError(lineno, "missing terminating ';'")
-        if header is None:
-            m = _HEADER_RE.match(raw)
-            if m is None:
-                return PGParseError(lineno, f"expected header 'parity <max-id>;', got {line!r}")
-            header = (lineno, int(m[1]))
-            continue
-        m = _VERTEX_RE.match(raw)
-        if m is None:
-            return PGParseError(lineno, f"malformed vertex line {line!r}")
-        vid = int(m[1])
-        if vid in records:
-            return PGParseError(lineno, f"duplicate vertex id {vid}")
-        records[vid] = (lineno, m[4])
-    if header is None:
-        return PGParseError(len(lines) or 1, "empty input, expected 'parity <max-id>;' header")
-    if not records:
-        return PGParseError(len(lines) or 1, "no vertex lines after header")
-    n = len(records)
-    for vid in records:
-        if not 0 <= vid < n:
-            return PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {vid})")
-    if header[1] != n - 1:
-        return PGParseError(
-            header[0], f"header declares max id {header[1]}, but the vertices are 0..{n - 1}")
-    for lineno, succ_text in records.values():
-        for s in map(str.strip, succ_text.split(",")):
-            if int(s) >= n:
-                return PGParseError(lineno, f"successor {s} references an undeclared vertex")
-    raise AssertionError("the scan rejected a text that has no error")
 
 
 def write_pgsolver(g: ParityGame) -> str:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bounds import g_recurrence, succinct_fill
+from .bounds import g_lower_closed, g_recurrence, succinct_fill
 
 TOP = "TOP"  # absorbing top element, greater than every leaf in every p-order
 
@@ -464,22 +465,13 @@ _tree_cache = BudgetedCache(1 << 16)  # trees enumerate_trees keeps across calls
 
 def enumerate_trees(n_leaves: int, h: int):
     """Stream every ordered height-h tree with exactly n_leaves leaves,
-    each once, in a deterministic order, built one height at a time.
-    Guarded by the enumeration cap (override via the PARITYTREE_ENUM_CAP
-    environment variable) on the trees built, those of lower height with
-    at most n_leaves leaves too.  They are counted first, unless h >= 2
-    and n_leaves > cap.bit_length(): then the height-h trees alone, at
-    least 2^(n_leaves - 1), pass the cap, and the call fails uncounted.
-    Built entries are kept, and later read as is, in _tree_cache, sized by
-    their tree counts.  An entry that cache would not keep is built per
-    call when it is of lower height, and streamed when it is the one asked
-    for, so a search that stops early never builds the rest."""
-    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-    rows = _count_rows(n_leaves, h) if h < 2 or n_leaves <= cap.bit_length() else None
-    total = rows[-1][n_leaves] + sum(map(sum, rows[:-1])) if rows else f"at least 2^{n_leaves - 1}"
-    if rows is None or total > cap:
-        raise EnumerationGuardError(
-            f"{total} trees to build for {n_leaves} leaves at height {h} exceeds cap {cap}")
+    each once, in a deterministic order, built one height at a time,
+    within the enumeration cap (see _guarded_rows).  Built entries are
+    kept, and later read as is, in _tree_cache, sized by their tree
+    counts.  An entry that cache would not keep is built per call when it
+    is of lower height, and streamed when it is the one asked for, so a
+    search that stops early never builds the rest."""
+    rows = _guarded_rows(n_leaves, h)
     below: dict[int, tuple[OrderedTree, ...]] = {}
     for k in range(1, h + 1) if (n_leaves, h) not in _tree_cache else (h,):
         layer = {}
@@ -495,6 +487,29 @@ def enumerate_trees(n_leaves: int, h: int):
             layer[m] = trees
         below = layer
     yield from below[n_leaves]
+
+
+def _guarded_rows(n_leaves: int, h: int) -> tuple[tuple[int, ...], ...]:
+    """_count_rows(n_leaves, h), the counts of the trees enumerate_trees
+    builds, or EnumerationGuardError if they pass the cap (overridden by
+    PARITYTREE_ENUM_CAP).  If h >= 2 and n_leaves > cap.bit_length(), the
+    height-h trees alone, at least 2^(n_leaves - 1), pass it uncounted."""
+    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    rows = _count_rows(n_leaves, h) if h < 2 or n_leaves <= cap.bit_length() else None
+    total = rows[-1][n_leaves] + sum(map(sum, rows[:-1])) if rows else f"at least 2^{n_leaves - 1}"
+    if rows is None or total > cap:
+        raise EnumerationGuardError(
+            f"{total} trees to build for {n_leaves} leaves at height {h} exceeds cap {cap}")
+    return rows
+
+
+def _guard_embedding_height(h: int) -> None:
+    """Refuse a brute-force search past the height _embeds reaches: it
+    recurses once per level, up to 100 levels below the recursion limit
+    (900 by default), which leaves room for its callers."""
+    if h > sys.getrecursionlimit() - 100:
+        raise EnumerationGuardError(f"height {h} is past {sys.getrecursionlimit() - 100}, "
+                                    "the deepest a brute-force embedding check reaches")
 
 
 def _trees_over(below: dict[int, tuple[OrderedTree, ...]], n_leaves: int, h: int):
@@ -514,8 +529,8 @@ def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | No
     order that does not.  The composition rule of t.proved_n answers first,
     at any height and without enumerating; the trees it leaves unproved,
     a lower bound being all it gives, are decided by enumerating the
-    shapes, within the enumeration cap and, through _embeds, up to height
-    900 under the default recursion limit."""
+    shapes: refused before it starts past the enumeration cap or, as
+    _embeds recurses, past height 900 under the default recursion limit."""
     if t.height != h:
         raise ValueError(f"tree height {t.height} != h = {h}")
     if 0 < n <= t.proved_n:  # a leaf holds 0, so h = 0 is left to the enumeration's error
@@ -527,6 +542,7 @@ def is_universal(t: OrderedTree, n: int, h: int) -> tuple[bool, OrderedTree | No
 def _first_unembedded(t: OrderedTree, n: int, h: int) -> OrderedTree | None:
     """The first tree with n leaves and height h, in enumeration order,
     that does not embed in t, or None: the brute-force decision."""
+    _guard_embedding_height(h)
     memo: dict[tuple[int, int], bool] = {}
     for shape in enumerate_trees(n, h):
         if not _embeds(shape, t, memo):
@@ -541,6 +557,8 @@ def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:
     proof that no (L-1)-leaf tree works.  Each candidate tries first the
     shape that rejected the one before, which most fail on too; the order
     of shapes cannot change which candidate passes them all."""
+    _guard_embedding_height(h)
+    _guarded_rows(max(n, g_lower_closed(n, h)), h)  # g >= this; g recurses through h
     size = g_recurrence(n, h)
     shapes = list(enumerate_trees(n, h))
     while True:

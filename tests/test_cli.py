@@ -294,8 +294,38 @@ class TestTree:
         assert main(["tree", "minimal", "--n", "2", "--h", "3000"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: maximum recursion depth exceeded")
+        assert captured.err.startswith("error: height 3000 is past 900,")
         assert captured.err.count("\n") == 1
+
+    def test_check_refuses_an_unreachable_height_at_once(self, tmp_path, capsys):
+        # a one-leaf path is not (2, 1000)-universal, so check enumerates
+        # shapes; _embeds recurses once per level, so without the guard
+        # every shape was built before the recursion limit stopped it
+        codes = tmp_path / "path.txt"
+        codes.write_text(",".join(["0"] * 1000) + "\n")
+        started = time.perf_counter()
+        argv = ["tree", "check", "--n", "2", "--h", "1000", "--file", str(codes)]
+        assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - started < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: height 1000 is past 900, "
+                                "the deepest a brute-force embedding check reaches\n")
+
+    def test_minimal_refused_by_the_cap_before_g(self):
+        # g recurses through h; from the command line Python 3.10 ran out
+        # of stack in it at h = 250, before the cap refused the candidates
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("PARITYTREE_ENUM_CAP", None)
+        started = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "paritytree.cli", "tree", "minimal", "--n", "2", "--h", "250"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - started < 0.5
+        assert run.returncode == EXIT_INPUT
+        assert run.stdout == ""
+        assert run.stderr == ("error: at least 2^249 trees to build for 250 leaves at height 250 "
+                              "exceeds cap 5000000\n")
 
     def test_minimal_refused_before_counting(self):
         # the 221-leaf candidates number at least 2^220, so they are not

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from paritytree.game_core import (
@@ -134,6 +136,18 @@ class TestParse:
             parse_pgsolver("\ufeffparity 0;\n0 0 0 0;\n")
         assert exc.value.line == 1
         assert exc.value.message == r"expected header 'parity <max-id>;', got '\ufeffparity 0;'"
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("x" + " " * 10**5 + "x;", id="inner-spaces"),
+        pytest.param("0 0 0 " + ",".join(["0"] * 10**4) + " x;", id="many-successors"),
+    ])
+    def test_long_malformed_line_in_bounded_time(self, line):
+        # a scan that backtracks over the line's length would take seconds
+        started = time.perf_counter()
+        with pytest.raises(PGParseError) as exc:
+            parse_pgsolver(f"parity 0;\n{line}\n")
+        assert time.perf_counter() - started < 0.5
+        assert (exc.value.line, exc.value.message) == (2, f"malformed vertex line {line!r}")
 
 
 class TestWrite:

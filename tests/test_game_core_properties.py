@@ -3,8 +3,10 @@
 parse to the same game and round-trip through ``write_pgsolver``, and
 broken texts raise the same ``PGParseError`` (line and message).  Texts
 come with every line break ``str.splitlines`` honours, with or without a
-final one, and with numbers in non-ASCII decimal digits, which a scan of
-the whole text must read as the line walk does."""
+final one, and with numbers in non-ASCII decimal digits.  The parser
+reads a text in one scan, and names an error from that scan's rows, so
+both its games and its errors must come out as ``reference_parse``'s walk
+over the lines gives them."""
 
 import re
 
