@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,6 +165,16 @@ _ROW_RE = re.compile(
 _BLANK = ("",) * 6  # the row of a blank line
 
 
+def _number(text: str, line: int, what: str) -> int:
+    """int(text) for a digit run, or a PGParseError naming its line when
+    it has more digits than int() reads (sys.get_int_max_str_digits())."""
+    try:
+        return int(text)
+    except ValueError:
+        raise PGParseError(line, f"{what} of {len(text)} digits is past int()'s limit of "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse the line-oriented PGSolver-style format.
 
@@ -180,9 +191,10 @@ def parse_pgsolver(text: str) -> ParityGame:
     there.  The checks imply every invariant ``validate_game`` checks, so
     the game comes back marked valid and is never rescanned.  A failed
     check walks the same rows for the first error: per line, a missing
-    ';', a bad header (the first non-blank line), a malformed vertex line
-    or a repeated id; then no header, no vertex lines, ids not dense (at
-    line 1), a header not matching them, and the first undeclared successor.
+    ';', a bad header (the first non-blank line), a malformed vertex line,
+    a repeated id or a number longer than int() reads; then no header, no
+    vertex lines, ids not dense (at line 1), a header too long or not
+    matching them, and the first undeclared successor.
     """
     lines = text.splitlines()
     joined = "\n".join(lines)
@@ -197,36 +209,44 @@ def parse_pgsolver(text: str) -> ParityGame:
     table = [row for row in rows if row != _BLANK] if _BLANK in rows else rows
     n = len(table)
     id_texts, priorities, owners, succ_texts, quoted, others = zip(*table) if n else [()] * 6
-    ids = [] if any(others) else list(map(int, id_texts))  # [] sends other lines to the walk
     dense = list(range(n))
-    if ids != dense and sorted(ids) == dense:
-        _, priorities, owners, succ_texts, quoted, _ = zip(
-            *[table[i] for i in sorted(dense, key=ids.__getitem__)])
-        ids = dense
-    successors = tuple([tuple(map(int, map(str.strip, s.split(",")))) for s in succ_texts]
-                       if ids else ())
-    if not ids or ids != dense or int(header[1]) != n - 1 or max(map(max, successors)) >= n:
+    try:
+        ids = [] if any(others) else list(map(int, id_texts))  # [] sends other lines to the walk
+        if ids != dense and sorted(ids) == dense:
+            _, priorities, owners, succ_texts, quoted, _ = zip(
+                *[table[i] for i in sorted(dense, key=ids.__getitem__)])
+            ids = dense
+        successors = tuple([tuple(map(int, map(str.strip, s.split(",")))) for s in succ_texts]
+                           if ids else ())
+        priority = tuple(map(int, priorities)) if ids else ()
+        declared = int(header[1])
+    except ValueError:  # a number int() will not read: the walk names its line
+        ids = []
+    if not ids or ids != dense or declared != n - 1 or max(map(max, successors)) >= n:
         header_line = joined.count("\n", 0, header.end()) + 1
         seen: dict[int, int] = {}  # id -> its first line
         dangling = []  # (line, message) per undeclared successor, in line order
-        for lineno, (vid, _, _, succ_text, _, other) in enumerate(rows, header_line + 1):
+        for lineno, (vid, prio, _, succ_text, _, other) in enumerate(rows, header_line + 1):
             if other:
                 raise PGParseError(lineno, f"malformed vertex line {other!r}"
                                    if other.endswith(";") else "missing terminating ';'")
-            if vid and seen.setdefault(int(vid), lineno) != lineno:
+            if not vid:
+                continue
+            if seen.setdefault(_number(vid, lineno, "vertex id"), lineno) != lineno:
                 raise PGParseError(lineno, f"duplicate vertex id {int(vid)}")
+            _number(prio, lineno, "priority")
             dangling += [(lineno, f"successor {s} references an undeclared vertex")
-                         for s in map(str.strip, succ_text.split(",")) if vid and int(s) >= n]
+                         for s in map(str.strip, succ_text.split(","))
+                         if _number(s, lineno, "successor") >= n]
         if not n:
             raise PGParseError(len(lines), "no vertex lines after header")
         if max(seen) >= n:  # n distinct ids: dense unless one is n or more
             found = next(v for v in seen if v >= n)
             raise PGParseError(1, f"vertex ids are not dense 0..{n - 1} (found {found})")
-        if int(header[1]) != n - 1:
+        if _number(header[1], header_line, "header max id") != n - 1:
             raise PGParseError(header_line, f"header declares max id {int(header[1])}, "
                                             f"but the vertices are 0..{n - 1}")
         raise PGParseError(*dangling[0])
-    priority = tuple(map(int, priorities))
     g = ParityGame(
         d=even_priority_bound(max(priority)),
         owner=tuple(map(int, owners)),

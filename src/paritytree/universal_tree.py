@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .bounds import g_lower_closed, g_recurrence, succinct_fill
+from .bounds import g_lower_closed, g_recurrence, halving_chain, succinct_fill
 
 TOP = "TOP"  # absorbing top element, greater than every leaf in every p-order
 
@@ -251,6 +251,18 @@ def _interned(key: tuple[str, int, int], build: Callable[[], OrderedTree]) -> Or
     return root
 
 
+def guard_build(kind: str, n: int, h: int, nodes: int, slots: int) -> None:
+    """Refuse, before allocating, a build of ``nodes`` nodes and ``slots``
+    child slots or code entries that weighs more than DEFAULT_ENUM_CAP
+    slots, a node weighing 7: over 16 naive and succinct builds, from
+    (1, 5000) to (10^5, 4), tracemalloc put a built tree's peak at ~310 B a
+    node and ~43 B a slot, children and cumulative counts together."""
+    weight = 7 * nodes + slots
+    if weight > DEFAULT_ENUM_CAP:
+        raise EnumerationGuardError(f"{kind} for (n={n}, h={h}) would take {weight} slots, "
+                                    f"past the build ceiling of {DEFAULT_ENUM_CAP}")
+
+
 def make_naive_tree(n: int, h: int) -> OrderedTree:
     """Complete n-ary tree of height h (n^h leaves); node objects are
     shared across siblings.  Calls with the same (n, h) return one root
@@ -258,13 +270,14 @@ def make_naive_tree(n: int, h: int) -> OrderedTree:
     if n < 1 or h < 1:
         raise ValueError(f"need n >= 1 and h >= 1, got ({n}, {h})")
     leaves = 1
-    for _ in range(h):  # at most 20 products before passing the cap when n > 1
+    for _ in range(h) if n > 1 else ():  # at most 20 products before passing the cap
         leaves *= n
         if leaves > NAIVE_LEAF_CAP:
             raise EnumerationGuardError(
                 f"naive tree for (n={n}, h={h}) would have over {NAIVE_LEAF_CAP} leaves")
 
     def build() -> OrderedTree:
+        guard_build("naive tree", n, h, h, n * h)
         node = LEAF
         for height in range(1, h + 1):
             node = OrderedTree(height, (node,) * n)
@@ -284,9 +297,15 @@ def make_succinct_tree(n: int, h: int) -> OrderedTree:
     the intern budget (see _interned)."""
     if n < 0 or h < 1:
         raise ValueError(f"need n >= 0 and h >= 1, got ({n}, {h})")
-    return _interned(("succinct", n, h), lambda: OrderedTree(h, succinct_fill(
-        n, h, lambda m: (LEAF,) * m,
-        lambda left, mid, right, k: left + (OrderedTree(k - 1, mid),) + right)))
+
+    def build() -> OrderedTree:  # a node per nonzero size and height, m slots per size m
+        chain = halving_chain(n)
+        guard_build("succinct tree", n, h, h * (len(chain) - 1), h * sum(chain))
+        return OrderedTree(h, succinct_fill(
+            n, h, lambda m: (LEAF,) * m,
+            lambda left, mid, right, k: left + (OrderedTree(k - 1, mid),) + right))
+
+    return _interned(("succinct", n, h), build)
 
 
 def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
-from .universal_tree import TOP, LeafCode, level
+from .universal_tree import TOP, LeafCode, guard_build, level
 
 Vertices = frozenset[int] | set[int]
 
@@ -136,11 +136,13 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     skipping the edges that graph drops; every other component is 0.  A
     vertex gets a row of components only when some count reaches it, and
     the vertices no count reaches share one all-zero tuple.  Vertices in
-    Adam's region map to TOP.
+    Adam's region map to TOP.  A signature of more than DEFAULT_ENUM_CAP
+    entries, n codes of d // 2, is refused before the solve (guard_build).
     """
+    width = g.d // 2
+    guard_build("signature", g.n, width, 0, g.n * width)
     eve, sigma = _region_and_strategy(g)
     priority, preds = g.priority, g.predecessors()
-    width = g.d // 2
     tops: dict[int, list[int]] = {}  # odd p -> Eve's region's priority-p vertices
     for v in eve:
         if priority[v] % 2:

@@ -11,6 +11,7 @@ from paritytree.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, main
 from paritytree.game_core import generate_random_game, write_pgsolver
 
 GAME = "parity 1;\n0 1 0 1;\n1 2 1 0;\n"  # forced 2-cycle, Eve wins both
+HUGE = "parity 1;\n0 1000000000001 0 1;\n1 0 1 0;\n"  # 40 bytes, a tree of height 5 * 10^11 + 1
 
 
 @pytest.fixture
@@ -184,6 +185,50 @@ class TestSolve:
         assert main(["solve", "-i", str(path)]) == EXIT_OK
         assert "Eve wins:  {0 1}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("game, extra, code, out, err", [
+        pytest.param(HUGE, [], EXIT_INPUT, "",
+                     "error: succinct tree for (n=2, h=500000000001) would take 8500000000017 "
+                     "slots, past the build ceiling of 5000000\n", id="vi"),
+        pytest.param(HUGE, ["--algorithm", "zielonka", "--emit-signature"], EXIT_INPUT, "",
+                     "error: signature for (n=2, h=500000000001) would take 1000000000002 "
+                     "slots, past the build ceiling of 5000000\n", id="signature"),
+        pytest.param("parity 0;\n0 2000000 0 0;\n", ["--cross-check"], EXIT_OK,
+                     "zielonka\t0\nbrute\t0\ncross-check: agreement\n",
+                     "note: skipped vi-naive: naive tree for (n=1, h=1000000) would take "
+                     "8000000 slots, past the build ceiling of 5000000\n"
+                     "note: skipped vi-succinct: succinct tree for (n=1, h=1000000) would take "
+                     "8000000 slots, past the build ceiling of 5000000\n", id="cross-check"),
+    ])
+    def test_priority_value_refused_before_building(self, tmp_path, game, extra, code, out, err):
+        # the height is half the largest priority's value, so a short file asks
+        # for a huge tree; a fresh process, which the timeout stops if the
+        # ceiling lets the build start
+        path = tmp_path / "deep.pg"
+        path.write_text(game)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        started = time.perf_counter()
+        run = subprocess.run(
+            [sys.executable, "-m", "paritytree.cli", "solve", "-i", str(path), *extra],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert time.perf_counter() - started < 0.5
+        assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+
+    def test_zielonka_solves_any_priority_value(self, tmp_path, capsys):
+        # the recursion does not size anything by the priorities' values
+        path = tmp_path / "deep.pg"
+        path.write_text(HUGE)
+        assert main(["solve", "-i", str(path), "--algorithm", "zielonka"]) == EXIT_OK
+        assert capsys.readouterr().out == "Eve wins:  {}\nAdam wins: {0 1}\n"
+
+    def test_number_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.pg"
+        path.write_text("parity 0;\n0 " + "1" * 5000 + " 0 0;\n")
+        assert main(["solve", "-i", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 2: priority of 5000 digits is past int()'s limit "
+                                f"of {sys.get_int_max_str_digits()} digits\n")
+
     def test_deep_file_tree(self, tmp_path, capsys):
         # one leaf at depth 2500, read bottom-up and solved without recursing
         path = tmp_path / "deep.pg"
@@ -312,36 +357,20 @@ class TestTree:
         assert captured.err == ("error: height 1000 is past 900, "
                                 "the deepest a brute-force embedding check reaches\n")
 
-    def test_minimal_refused_by_the_cap_before_g(self):
-        # g recurses through h; from the command line Python 3.10 ran out
-        # of stack in it at h = 250, before the cap refused the candidates
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.pop("PARITYTREE_ENUM_CAP", None)
+    @pytest.mark.parametrize("h", [220, 250])
+    def test_minimal_refused_by_the_cap_before_g(self, monkeypatch, capsys, h):
+        # g(2, h) is at least its closed form C(h, 1) = h, and the h-leaf
+        # shapes number at least 2^(h - 1), so the cap refuses them uncounted
+        # before g, which recurses through h, is computed; in process, as g
+        # is never reached
+        monkeypatch.delenv("PARITYTREE_ENUM_CAP", raising=False)
         started = time.perf_counter()
-        run = subprocess.run(
-            [sys.executable, "-m", "paritytree.cli", "tree", "minimal", "--n", "2", "--h", "250"],
-            capture_output=True, text=True, env=env, timeout=60)
+        assert main(["tree", "minimal", "--n", "2", "--h", str(h)]) == EXIT_INPUT
         assert time.perf_counter() - started < 0.5
-        assert run.returncode == EXIT_INPUT
-        assert run.stdout == ""
-        assert run.stderr == ("error: at least 2^249 trees to build for 250 leaves at height 250 "
-                              "exceeds cap 5000000\n")
-
-    def test_minimal_refused_before_counting(self):
-        # the 221-leaf candidates number at least 2^220, so they are not
-        # counted; a fresh process, as g's recursion through h stops a
-        # deeper stack (Python 3.10 reaches h = 220 from the command line)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.pop("PARITYTREE_ENUM_CAP", None)
-        started = time.perf_counter()
-        run = subprocess.run(
-            [sys.executable, "-m", "paritytree.cli", "tree", "minimal", "--n", "2", "--h", "220"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert time.perf_counter() - started < 1
-        assert run.returncode == EXIT_INPUT
-        assert run.stdout == ""
-        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
-        assert "exceeds cap 5000000" in run.stderr
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: at least 2^{h - 1} trees to build for {h} leaves "
+                                f"at height {h} exceeds cap 5000000\n")
 
     def test_check_too_deep(self, tmp_path, capsys):
         # proved by the composition rule, which neither recurses nor enumerates

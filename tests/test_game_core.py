@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -148,6 +149,22 @@ class TestParse:
             parse_pgsolver(f"parity 0;\n{line}\n")
         assert time.perf_counter() - started < 0.5
         assert (exc.value.line, exc.value.message) == (2, f"malformed vertex line {line!r}")
+
+    @pytest.mark.parametrize("text, line, what", [
+        pytest.param("parity " + "1" * 5000 + ";\n0 0 0 0;\n", 1, "header max id", id="header"),
+        pytest.param("parity 0;\n" + "1" * 5000 + " 0 0 0;\n", 2, "vertex id", id="id"),
+        pytest.param("parity 0;\n0 " + "1" * 5000 + " 0 0;\n", 2, "priority", id="priority"),
+        pytest.param("parity 0;\n0 0 0 0," + "1" * 5000 + ";\n", 2, "successor", id="successor"),
+        # the malformed line sends the parse to its walk before any number is read
+        pytest.param("parity 1;\n0 0 0 " + "1" * 5000 + ";\nx;\n", 2, "successor",
+                     id="successor-in-the-walk"),
+    ])
+    def test_number_past_the_digit_limit(self, text, line, what):
+        with pytest.raises(PGParseError) as exc:
+            parse_pgsolver(text)
+        assert (exc.value.line, exc.value.message) == (
+            line, f"{what} of 5000 digits is past int()'s limit of "
+                  f"{sys.get_int_max_str_digits()} digits")
 
 
 class TestWrite:

@@ -343,6 +343,44 @@ class TestValidateSignature:
         ok, _ = validate_signature(g, make_naive_tree(1, 1), [TOP])
         assert ok
 
+    # vertex 0 as given, then self-looping Adam vertices of priority 0;
+    # on the naive (3, 1) tree, priorities 0 and 1 read the code's one
+    # entry and priority 2 reads none, so every leaf dominates at 2
+    @staticmethod
+    def star(owner, p, successors, mu):
+        n = len(mu)
+        g = make(2, [owner] + [ADAM] * (n - 1), [p] + [0] * (n - 1),
+                 [successors] + [(v,) for v in range(1, n)])
+        return validate_signature(g, make_naive_tree(3, 1), mu)
+
+    def test_adam_names_the_first_undominated_successor(self):
+        # 3 and 2 are not dominated; 3 comes first in stored order
+        assert self.star(ADAM, 0, (3, 1, 2), [(1,), (0,), (2,), (2,)]) == (
+            False, (0, 3, "Adam vertex 0: successor 3 not dominated at p=0"))
+
+    @pytest.mark.parametrize("p, mu, rel", [(0, [(0,), (1,), (2,)], ">="),
+                                            (1, [(1,), (1,), (2,)], ">")])
+    def test_eve_names_her_first_successor(self, p, mu, rel):
+        assert self.star(EVE, p, (2, 1), mu) == (
+            False, (0, 2, f"mu(0) is not {rel}_p mu(2) at p={p}"))
+
+    def test_top_is_never_dominated(self):
+        # at p = 2 every leaf dominates every leaf, but none dominates TOP
+        assert self.star(ADAM, 2, (1, 2), [(0,), (2,), TOP]) == (
+            False, (0, 2, "Adam vertex 0: successor 2 not dominated at p=2"))
+        assert self.star(EVE, 2, (1,), [(2,), TOP]) == (
+            False, (0, 1, "mu(0) is not >=_p mu(1) at p=2"))
+
+    def test_adam_stops_at_the_first_undominated_successor(self):
+        # (7,) is no leaf of the tree, but Adam's check never reads it
+        assert self.star(ADAM, 0, (1, 2), [(0,), (1,), (7,)]) == (
+            False, (0, 1, "Adam vertex 0: successor 1 not dominated at p=0"))
+
+    def test_eve_reads_every_successor(self):
+        # successor 1 is dominated, and (7,), no leaf, still raises
+        with pytest.raises(ValueError, match=r"invalid leaf code \(7,\)"):
+            self.star(EVE, 0, (1, 2), [(2,), (0,), (7,)])
+
 
 class TestStrategyFromMeasure:
     def test_restricted_cycles_are_even(self):
@@ -366,3 +404,14 @@ class TestStrategyFromMeasure:
         tree = make_naive_tree(2, 1)
         with pytest.raises(ValueError):
             strategy_from_measure(g, tree, [(0,), (0,)])
+
+    def test_smallest_dominated_id(self):
+        # stored order 3, 2, 1: 3 and 2 are dominated at p = 0, 1 is not
+        g = make(2, [EVE, ADAM, ADAM, ADAM], [0] * 4, [(3, 2, 1), (1,), (2,), (3,)])
+        mu = [(1,), (2,), (0,), (1,)]
+        assert strategy_from_measure(g, make_naive_tree(3, 1), mu) == {0: 2}
+
+    def test_no_dominated_successor_raises(self):
+        g = make(2, [EVE, ADAM], [0, 0], [(1,), (1,)])
+        with pytest.raises(ValueError, match="^measure does not validate at vertex 0$"):
+            strategy_from_measure(g, make_naive_tree(3, 1), [(2,), TOP])

@@ -83,6 +83,42 @@ class TestShape:
         assert len(message) < 120
         assert all(part in message for part in ("500", "250", str(universal_tree.NAIVE_LEAF_CAP)))
 
+    @pytest.mark.parametrize("make, n, h, slots", [
+        (make_succinct_tree, 2, 10**6, 17_000_000),
+        (make_succinct_tree, 10**5, 5000, 1_500_980_000),
+        (make_succinct_tree, 2, 5 * 10**11, 8_500_000_000_000),
+        (make_succinct_tree, 2, 294_118, 5_000_006),
+        (make_succinct_tree, 1, 625_001, 5_000_008),
+        (make_naive_tree, 1, 10**6, 8_000_000),
+        (make_naive_tree, 1, 625_001, 5_000_008),
+    ])
+    def test_build_ceiling_refuses_before_building(self, make, n, h, slots):
+        # a node weighs 7 slots; (2, h) has 2h nodes and 3h slots, (1, h) h of each
+        started = time.perf_counter()
+        with pytest.raises(EnumerationGuardError) as info:
+            make(n, h)
+        assert time.perf_counter() - started < 0.5
+        kind = "naive" if make is make_naive_tree else "succinct"
+        assert str(info.value) == (f"{kind} tree for (n={n}, h={h}) would take {slots} slots, "
+                                   "past the build ceiling of 5000000")
+
+    @pytest.mark.parametrize("n, h", [(2, 2500), (3, 3000), (2000, 8), (10**4, 10),
+                                      (2 * 10**4, 10), (10**5, 10), (2, 294_117), (1, 625_000)])
+    def test_build_ceiling_admits(self, monkeypatch, n, h):
+        # the guard alone: with the fill stubbed out, nothing is built
+        fresh_cache(monkeypatch, "_interned_roots")
+        monkeypatch.setattr(universal_tree, "succinct_fill", lambda *args: ())
+        assert make_succinct_tree(n, h).height == h
+
+    def test_build_ceiling_not_checked_on_an_interned_hit(self, monkeypatch):
+        root = make_succinct_tree(30, 5)
+
+        def refuse(*args):
+            raise AssertionError("guard_build ran on an interned root")
+
+        monkeypatch.setattr(universal_tree, "guard_build", refuse)
+        assert make_succinct_tree(30, 5) is root
+
     def test_succinct_leaf_count_matches_f(self):
         for n in range(0, 20):
             for h in range(1, 5):

@@ -11,7 +11,7 @@ from paritytree.game_core import (
     generate_random_game,
 )
 from paritytree.oracle import solve_bruteforce
-from paritytree.universal_tree import make_naive_tree, signature_to_tree
+from paritytree.universal_tree import EnumerationGuardError, make_naive_tree, signature_to_tree
 from paritytree.progress_measure import validate_signature
 from paritytree.zielonka import (
     TOP,
@@ -250,6 +250,17 @@ class TestExtractSignature:
             tree = make_naive_tree(g.n, g.d // 2)
             ok, why = validate_signature(g, tree, [mu[v] for v in g.vertices()])
             assert ok, (seed, why)
+
+    def test_refused_before_the_solve(self):
+        # one priority of value 10^12 + 1 asks for codes of 5 * 10^11 + 1 entries
+        g = make(10**12 + 2, [EVE, ADAM], [10**12 + 1, 0], [(1,), (0,)])
+        started = time.perf_counter()
+        with pytest.raises(EnumerationGuardError, match=(
+                r"^signature for \(n=2, h=500000000001\) would take 1000000000002 slots, "
+                "past the build ceiling of 5000000$")):
+            extract_signature(g)
+        assert time.perf_counter() - started < 0.5
+        assert "_zielonka" not in g.__dict__
 
     def test_known_game(self):
         # forced cycle with priorities {1, 2}: the odd vertex must sit one
