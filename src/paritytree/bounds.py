@@ -45,9 +45,12 @@ def succinct_fill(n: int, h: int, base: Callable[[int], object],
     """The succinct split's value at (n, h), filled over halving_chain(n)
     one height at a time, smaller sizes first, so no call recurses: size m
     holds base(m) at height 1, and at height k each m > 0 becomes
-    join(value(m // 2), value(m, k-1), value(m-1 - m // 2), k)."""
+    join(value(m // 2), value(m, k-1), value(m-1 - m // 2), k).  Size 0
+    holds base(0) at every height, so n = 0 makes no pass."""
     chain = halving_chain(n)
     value = {m: base(m) for m in chain}
+    if not n:
+        return value[0]
     for k in range(2, h + 1):
         for m in chain[1:]:
             value[m] = join(value[m // 2], value[m], value[m - 1 - m // 2], k)

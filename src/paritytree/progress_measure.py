@@ -10,18 +10,21 @@ at odd p) is the start (or end) of the value's block at depth level(p),
 one slot of universal_tree.block_bounds.  Which slot depends only on the
 tree's height and the game's d, so universal_tree.lift_slots memoises the
 slots per (h, d).  value_iteration writes the lift once, inline in one
-loop; a policy only decides which vertex comes next.
-The bounds themselves are memoised per tree, in OrderedTree.bounds: every
-game solved on one tree object shares them, and they go with the tree.
-The tree builders intern small roots, so games of one (n, d) that each
-build their own tree still find the same object and the same memo.
+loop over one plan tuple per vertex; a policy only decides which vertex
+comes next.  fifo's worklist is a plain list read in chunks of 2n visits,
+each deleted once read, so it never holds more than 3n entries.
+The bounds themselves are memoised per tree, in OrderedTree.bounds, and
+so are the leaf codes of the ranks a run ends at, in OrderedTree.codes:
+every game solved on one tree object shares them, and they go with the
+tree.  The tree builders intern small roots, so games of one (n, d) that
+each build their own tree still find the same object and the same memos.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
 from .universal_tree import (
@@ -141,13 +144,21 @@ def value_iteration(
 
     One loop serves every policy and holds the lift rule once.  It runs on
     leaf ranks and returns leaf codes.  A plan built per call gives each
-    vertex its slot, its first successor and, at out-degree > 1, its owner
-    and other successors.  Each vertex holds the block bounds of its value,
-    so a successor's option is one lookup.  Bounds come from the tree's
-    memo (OrderedTree.bounds): each is computed once per distinct rank
-    reached on this tree object, in this call or an earlier one, and kept
-    as long as the tree; an interned builder root (universal_tree._interned)
-    carries its memo from game to game.
+    vertex one tuple: its slot, its first successor, None at out-degree 1
+    and otherwise whether Eve owns it, its other successors, and the
+    vertices its lift re-queues (its predecessors; none for roundrobin).
+    A policy is a sequence of rounds of visits: fifo reads its worklist in
+    chunks of 2n, deleting each chunk once read while lifts append to the
+    list, so it holds at most the chunk and one entry per queued vertex;
+    roundrobin repeats its pass while the last one lifted; random is one
+    round of seeded draws.  Each vertex holds the block bounds of its
+    value, so a successor's option is one lookup.  Bounds come from the
+    tree's memo (OrderedTree.bounds): each is computed once per distinct
+    rank reached on this tree object, in this call or an earlier one, and
+    kept as long as the tree; an interned builder root
+    (universal_tree._interned) carries its memo from game to game.  The
+    returned codes come the same way from OrderedTree.codes, one descent
+    per distinct final rank per tree.
     """
     require_valid(g)
     if policy not in POLICIES:
@@ -163,41 +174,41 @@ def value_iteration(
         if rank not in bounds_of:
             bounds_of[rank] = block_bounds(tree, rank)
     held = list(map(bounds_of.__getitem__, mu))
-    slot = list(map(lift_slots(tree.height, g.d).__getitem__, g.priority))
-    first = [ws[0] for ws in g.successors]
-    rest = [(o == EVE, ws[1:]) if len(ws) > 1 else None
-            for o, ws in zip(g.owner, g.successors)]
-    per_vertex = [0] * n
+    slots = lift_slots(tree.height, g.d)
     requeue = [()] * n if policy == "roundrobin" else g.predecessors()
+    plan = [(slots[p], ws[0], o == EVE if len(ws) > 1 else None, ws[1:], back)
+            for p, o, ws, back in zip(g.priority, g.owner, g.successors, requeue)]
+    per_vertex = [0] * n
+    queued = [True] * n
     if policy == "random":
         rng = random.Random(seed)
         work = list(range(n))
 
-        def take() -> int:  # swap the chosen vertex to the end and pop it
+        def take() -> int:  # swap the chosen vertex to the end and pop it; -1 when none is left
+            if not work:
+                return -1
             i = rng.randrange(len(work))
             work[i], work[-1] = work[-1], work[i]
             return work.pop()
+        rounds = [iter(take, -1)]
+    elif policy == "roundrobin":  # nothing is re-queued, so nothing is pushed
+        work, rounds = [], _passes(range(n), per_vertex)
     else:
-        work = deque(range(n))
-        take = work.popleft
-    queued = [True] * n
-    lifted = True
-    while lifted:  # roundrobin: one pass per round; a worklist empties in one
-        lifted = False
-        while work:
-            v = take()
+        work = list(range(n))
+        rounds = _chunks(work, 2 * n)
+    push = work.append
+    for visits in rounds:
+        for v in visits:
+            at, first, eve, rest, back = plan[v]
             queued[v] = False
-            at = slot[v]
-            best = held[first[v]][at]
-            more = rest[v]
-            if more is not None:
-                eve, ws = more
+            best = held[first][at]
+            if eve is not None:
                 if eve:
-                    for w in ws:
+                    for w in rest:
                         if held[w][at] < best:
                             best = held[w][at]
                 else:
-                    for w in ws:
+                    for w in rest:
                         if held[w][at] > best:
                             best = held[w][at]
             if best > mu[v]:
@@ -207,19 +218,36 @@ def value_iteration(
                     found = bounds_of[best] = block_bounds(tree, best)
                 held[v] = found
                 per_vertex[v] += 1
-                lifted = True
-                for u in requeue[v]:
+                for u in back:
                     if not queued[u]:
                         queued[u] = True
-                        work.append(u)
-        if policy == "roundrobin":
-            work.extend(range(n))
+                        push(u)
     stats = LiftStats(sum(per_vertex), per_vertex)
     top = leaf_count(tree)
     eve_wins = frozenset(v for v in range(n) if mu[v] != top)
-    code_of = {rank: rank_to_code(tree, rank) for rank in set(mu)}
-    return (list(map(code_of.__getitem__, mu)),
+    codes = tree.codes
+    for rank in set(mu):
+        if rank not in codes:
+            codes[rank] = rank_to_code(tree, rank)
+    return (list(map(codes.__getitem__, mu)),
             Region(eve_wins, frozenset(range(n)) - eve_wins), stats)
+
+
+def _chunks(work: list[int], chunk: int):
+    """fifo's rounds: the next ``chunk`` entries of the worklist, which the
+    round's lifts append to, deleted once visited, until it is empty.  The
+    list holds at most the chunk visited plus one entry per queued vertex."""
+    while work:
+        yield islice(work, chunk)
+        del work[:chunk]
+
+
+def _passes(order: range, per_vertex: list[int]):
+    """roundrobin's rounds: ``order`` again while the last pass lifted."""
+    done = -1
+    while (total := sum(per_vertex)) > done:
+        done = total
+        yield order
 
 
 def strategy_from_measure(

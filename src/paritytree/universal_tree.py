@@ -77,6 +77,13 @@ class OrderedTree:
         return {}
 
     @cached_property
+    def codes(self) -> dict[int, LeafCode | str]:
+        """Memo of rank_to_code by rank, filled by value_iteration with the
+        ranks its runs end at, and kept and ignored as bounds is: at most
+        leaf_count + 1 entries, TOP's among them."""
+        return {}
+
+    @cached_property
     def proved_n(self) -> int:
         """The largest n for which composing the children's values proves
         this node (n, height)-universal, a lower bound on the true one; a
@@ -236,18 +243,21 @@ class BudgetedCache(dict):
             self.total += size
 
 
-_interned_roots = BudgetedCache(2**16)  # ints of the kept roots' bounds memos, ~2.6 MB
+# ints of the kept roots' memos, ~3.9 MB; as 3h + 2 <= 3/2 * (2h + 2), it keeps
+# every set of roots that 2^16 kept when a root weighed its bounds memo alone
+_interned_roots = BudgetedCache(3 * 2**15)
 
 
 def _interned(key: tuple[str, int, int], build: Callable[[], OrderedTree]) -> OrderedTree:
     """The root ``build()`` makes for ``key`` = (kind, n, h), kept in
     _interned_roots so that later calls return the same object and every
-    game solved on it shares its bounds memo.  The root's size there is
-    the most that memo holds, (leaf_count + 1) * (2h + 2) ints."""
+    game solved on it shares its bounds and codes memos.  The root's size
+    there is the most those memos hold, (leaf_count + 1) * (3h + 2) ints:
+    2h + 2 per rank's bounds and h per rank's code."""
     root = _interned_roots.get(key)
     if root is None:
         root = build()
-        _interned_roots.keep(key, root, (leaf_count(root) + 1) * (2 * key[2] + 2))
+        _interned_roots.keep(key, root, (leaf_count(root) + 1) * (3 * key[2] + 2))
     return root
 
 
@@ -420,12 +430,13 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
     image that can host it (see _embeds), replayed once on an explicit
     stack.  Only a root child can lack a host, since _embeds has decided
     every pair below it.  The returned mapping uses left-to-right
-    child-index paths on both sides.  _embeds recurses once per level:
-    under Python's default recursion limit trees up to height 900 are
-    accepted, and much deeper ones raise RecursionError.
+    child-index paths on both sides.  _embeds recurses once per level, so
+    a tree past the height _guard_embedding_height allows (900 under
+    Python's default recursion limit) is refused with EnumerationGuardError.
     """
     if t.height != big.height:
         raise ValueError(f"height mismatch: {t.height} vs {big.height}")
+    _guard_embedding_height(t.height)
     memo: dict[tuple[int, int], bool] = {}
     mapping: dict[tuple[int, ...], tuple[int, ...]] = {}
     stack = [(t, big, (), ())]

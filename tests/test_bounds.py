@@ -34,6 +34,14 @@ class TestRecurrences:
             assert g_recurrence(1, h) == 1
             assert f_recurrence(0, h) == 0
 
+    def test_zero_costs_nothing_at_any_height(self):
+        # no size in 0's halving chain is nonzero, so no height needs a pass;
+        # heights no other test asks for, as f is lru_cached
+        started = time.perf_counter()
+        assert f_recurrence(0, 10**7 + 1) == 0
+        assert f_recurrence(0, 10**8 + 1) == 0
+        assert time.perf_counter() - started < 0.1
+
     def test_known_values(self):
         assert f_recurrence(2, 2) == 3
         assert g_recurrence(2, 2) == 3

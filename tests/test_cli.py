@@ -328,6 +328,13 @@ class TestTree:
         assert main(["tree", "build", "--kind", kind, "--n", str(n), "--h", "3000"]) == EXIT_OK
         assert capsys.readouterr().out == f"{kind}({n},3000): {leaves} leaves\n"
 
+    def test_build_empty_at_any_height(self, capsys):
+        started = time.perf_counter()
+        assert main(["tree", "build", "--kind", "succinct",
+                     "--n", "0", "--h", "20000001"]) == EXIT_OK
+        assert time.perf_counter() - started < 0.5
+        assert capsys.readouterr().out == "succinct(0,20000001): 0 leaves\n"
+
     def test_dump_deep(self, capsys):
         assert main(["tree", "build", "--kind", "naive", "--n", "1", "--h", "3000",
                      "--dump"]) == EXIT_OK

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -26,6 +27,7 @@ from paritytree.progress_measure import (
 from paritytree.universal_tree import (
     TOP,
     block_bounds,
+    code_to_rank,
     leaf_codes,
     leaf_count,
     make_naive_tree,
@@ -269,6 +271,17 @@ class TestTreeMemo:
         assert again[:2] == first[:2] and again[2].total == first[2].total > 0
         assert descents == []
 
+    def test_codes_memo_holds_the_final_codes(self, monkeypatch):
+        g = generate_random_game(6, 6, (1, 2), 10)  # three distinct final codes, TOP one
+        h = g.d // 2
+        tree = tree_from_leaf_codes(list(leaf_codes(make_succinct_tree(6, h))), h)
+        mu = value_iteration(g, tree)[0]
+        assert TOP in mu and tree.codes == {code_to_rank(tree, code): code for code in mu}
+        calls = []
+        monkeypatch.setattr(progress_measure, "rank_to_code",
+                            lambda t, rank: calls.append(rank))
+        assert value_iteration(g, tree)[0] == mu and calls == []
+
     def test_memo_goes_with_the_tree(self):
         # a tree read from leaf codes, and a builder tree over the intern
         # budget, which no later call returns again
@@ -304,6 +317,36 @@ class TestLiftSequence:
                     lists.append(value_iteration(g, tree, policy, policy_seed)[2].per_vertex)
         assert len(lists) == 324
         assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.PER_VERTEX_SHA256
+
+    # sha256 of repr() of the 15 per_vertex lists the test below builds
+    AT_SCALE_SHA256 = "a7727adc0b834b0b78d853673271c5be6a3974928d6b6c6dffc2757565378e50"
+
+    def test_per_vertex_counts_at_scale(self):
+        # n from 114 to 165 and 2,575 to 44,629 lifts a run: fifo's
+        # worklist goes through many chunks of 2n visits
+        lists = []
+        for seed in range(1, 6):
+            n = random.Random(seed).randint(100, 250)
+            g = generate_random_game(n, 10, (1, 3), seed)
+            tree = make_succinct_tree(g.n, g.d // 2)
+            for policy, policy_seed in (("fifo", None), ("roundrobin", None), ("random", 7)):
+                lists.append(value_iteration(g, tree, policy, policy_seed)[2].per_vertex)
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.AT_SCALE_SHA256
+
+    def test_worklist_bounded_by_the_game(self):
+        # chain(400) takes 80,200 lifts, each re-queueing one vertex: a
+        # list holding a pointer per visit peaks past 1,600 bytes a vertex
+        g = chain(400)
+        tree = make_succinct_tree(g.n, g.d // 2)
+        value_iteration(g, tree)  # fills the tree's memos, which outlive the call
+        tracemalloc.start()
+        try:
+            stats = value_iteration(g, tree)[2]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.total == 400 * 401 // 2
+        assert peak < 1_000 * g.n
 
     @pytest.mark.parametrize("game, leaves, total", [
         (chain(200), 201, 200 * 201 // 2),  # ids along the edges: fifo's worst order

@@ -206,6 +206,13 @@ class TestShape:
         assert t.is_empty
         assert leaf_count(t) == 0
 
+    def test_empty_tree_costs_nothing_at_any_height(self):
+        # a height no other test builds, as roots are interned per (n, h)
+        started = time.perf_counter()
+        t = make_succinct_tree(0, 10**7 + 3)
+        assert time.perf_counter() - started < 0.1
+        assert t.is_empty and t.height == 10**7 + 3 and leaf_count(t) == 0
+
     def test_validate_rejects_bad_height(self):
         assert not round_trips(OrderedTree(2, (LEAF,)))
 
@@ -253,7 +260,7 @@ class TestIntern:
 
     @staticmethod
     def memo_ints(root):
-        return (leaf_count(root) + 1) * (2 * root.height + 2)
+        return (leaf_count(root) + 1) * (3 * root.height + 2)
 
     def test_one_root_per_shape_within_budget(self):
         assert make_succinct_tree(30, 5) is make_succinct_tree(30, 5)
@@ -279,15 +286,23 @@ class TestIntern:
                     assert total == roots.total <= roots.limit
         assert len(kept) > 1 and ("naive", 1, 1) not in roots
 
+    def test_a_game_and_its_dual_keep_both_roots(self, monkeypatch):
+        # 30 vertices at d = 10 and the dual at d = 12 alternate heights 5
+        # and 6: 23,834 and 48,720 ints, kept together so neither memo is lost
+        roots = fresh_cache(monkeypatch, "_interned_roots")
+        a, b = make_succinct_tree(30, 5), make_succinct_tree(30, 6)
+        assert make_succinct_tree(30, 5) is a and make_succinct_tree(30, 6) is b
+        assert roots.total == self.memo_ints(a) + self.memo_ints(b) == 72_554
+
     def test_root_past_budget_clears_the_rest(self, monkeypatch):
         roots = fresh_cache(monkeypatch, "_interned_roots")
-        # memo sizes 16,824, 8,424 and 25,224 ints: 50,472 in all
+        # memo sizes 23,834, 11,934 and 35,734 ints: 71,502 in all
         a, b, c = make_succinct_tree(30, 5), make_succinct_tree(20, 5), make_succinct_tree(36, 5)
         assert make_succinct_tree(20, 5) is b
-        d = make_succinct_tree(31, 5)  # 17,664 more ints would pass the budget
-        assert list(roots) == [("succinct", 31, 5)]
+        d = make_succinct_tree(33, 5)  # 29,308 more ints would pass the budget
+        assert list(roots) == [("succinct", 33, 5)]
         assert roots.total == self.memo_ints(d)
-        assert make_succinct_tree(31, 5) is d and make_succinct_tree(30, 5) is not a
+        assert make_succinct_tree(33, 5) is d and make_succinct_tree(30, 5) is not a
 
 
 class TestSuccinctChildren:
@@ -577,7 +592,7 @@ class TestEmbed:
         assert embed(tower, tower) == {(0,) * k: (0,) * k for k in range(901)}
         assert is_universal(tower, 1, 900) == (True, None)
         tower = tree_from_leaf_codes([(0,) * 3000], 3000)
-        with pytest.raises(RecursionError):
+        with pytest.raises(EnumerationGuardError, match="height 3000 is past 900"):
             embed(tower, tower)
         # the composition rule proves it without recursing or enumerating
         assert is_universal(tower, 1, 3000) == (True, None)
