@@ -34,15 +34,19 @@ def _read_text(path: str) -> str:
 
 def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
     """One leaf code per line, comma-separated child indices, as written by
-    ``tree build --dump``; blank lines are skipped."""
+    ``tree build --dump``; blank lines are skipped.  An index is decimal
+    digits only, as in a PGSolver game: no sign and no underscore."""
     codes = []
     for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line:
             continue
+        entries = [x.strip() for x in line.split(",")]
         try:
-            codes.append(tuple(int(x) for x in line.split(",")))
-        except ValueError:
+            if not all(map(str.isdecimal, entries)):
+                raise ValueError
+            codes.append(tuple(map(int, entries)))
+        except ValueError:  # int() also refuses past the digit limit
             raise ValueError(f"{path}:{lineno}: malformed leaf code {line!r}, "
                              "expected comma-separated integers") from None
     return codes

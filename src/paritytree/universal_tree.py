@@ -387,16 +387,18 @@ def compare_leaves_at(
     return -1 if x < y else 1 if x > y else 0
 
 
-def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[tuple[int, int], bool]) -> bool:
+def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[int, dict[int, bool]]) -> bool:
     """Whether a embeds in b with root mapped to root: a's children go,
     left to right, each into the leftmost remaining child of b it embeds
     in.  Greedy matching is exact here: any embedding can be shifted onto
     the greedy choices one child at a time.  A leaf parent (height 1)
     embeds in another exactly when it has no more children, so such pairs
     need no memo.  ``memo`` holds the decisions for higher child pairs,
-    keyed by ``(id(a), id(b))``, so subtrees shared between trees are
-    matched once; the caller owns it and must keep every tree it names
-    alive."""
+    one row per child x of a shape, ``memo[id(x)]``, mapping ``id(y)`` of
+    each host child y tried to the decision, so subtrees shared between
+    trees are matched once; each child of a fetches its row once, and the
+    scan over b's children reads one entry per child.  The caller owns
+    the memo and must keep every tree it names alive."""
     if a.height == 1:
         return len(a.children) <= len(b.children)
     rest = iter(b.children)
@@ -410,11 +412,13 @@ def _embeds(a: OrderedTree, b: OrderedTree, memo: dict[tuple[int, int], bool]) -
                 return False
         return True
     for x in a.children:
+        row = memo.get(id(x))
+        if row is None:
+            row = memo[id(x)] = {}
         for y in rest:
-            key = (id(x), id(y))
-            ok = memo.get(key)
+            ok = row.get(id(y))
             if ok is None:
-                ok = memo[key] = _embeds(x, y, memo)
+                ok = row[id(y)] = _embeds(x, y, memo)
             if ok:
                 break
         else:
@@ -437,7 +441,7 @@ def embed(t: OrderedTree, big: OrderedTree) -> dict[tuple[int, ...], tuple[int, 
     if t.height != big.height:
         raise ValueError(f"height mismatch: {t.height} vs {big.height}")
     _guard_embedding_height(t.height)
-    memo: dict[tuple[int, int], bool] = {}
+    memo: dict[int, dict[int, bool]] = {}
     mapping: dict[tuple[int, ...], tuple[int, ...]] = {}
     stack = [(t, big, (), ())]
     while stack:
@@ -573,7 +577,7 @@ def _first_unembedded(t: OrderedTree, n: int, h: int) -> OrderedTree | None:
     """The first tree with n leaves and height h, in enumeration order,
     that does not embed in t, or None: the brute-force decision."""
     _guard_embedding_height(h)
-    memo: dict[tuple[int, int], bool] = {}
+    memo: dict[int, dict[int, bool]] = {}
     for shape in enumerate_trees(n, h):
         if not _embeds(shape, t, memo):
             return shape
@@ -592,8 +596,9 @@ def find_minimal_universal(n: int, h: int) -> tuple[int, OrderedTree]:
     size = g_recurrence(n, h)
     shapes = list(enumerate_trees(n, h))
     while True:
-        # per size: the memo names children of candidates that may not outlive it
-        memo: dict[tuple[int, int], bool] = {}
+        # one memo per size, its rows kept by shape child: the host ids in a
+        # row name children of candidates that may not outlive the size
+        memo: dict[int, dict[int, bool]] = {}
         for candidate in enumerate_trees(size, h):
             for i, shape in enumerate(shapes):
                 if not _embeds(shape, candidate, memo):
@@ -649,28 +654,45 @@ def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:
     """Rebuild the unique tree whose leaf-code set is ``codes``; raises
     ValueError if the set is inconsistent (gaps or depth mismatches).
 
-    Built bottom-up, one depth at a time: the nodes at depth k are keyed
-    by their codes' first k entries, in decreasing order, so each node's
-    children arrive left to right."""
+    Read in one pass over the distinct codes in decreasing order, that is
+    leaf by leaf from the left, keeping one open node per depth: a code
+    closes the open nodes below the first entry where it differs from the
+    code before it, each built from the children read under it, and opens
+    new ones.  A node's child indices must arrive as M, M-1, ..., 0; any
+    other run is a gap.  O(nodes + L*h) for L codes, after the sort; no
+    node's hash or leaf count is computed."""
     code_set = set(codes)
     if not code_set:
         raise ValueError("no leaf codes given")
     for c in code_set:
         if len(c) != h:
             raise ValueError(f"code {c} has depth {len(c)}, expected {h}")
-    level: dict[LeafCode, OrderedTree] = dict.fromkeys(sorted(code_set, reverse=True), LEAF)
-    gaps = []
-    for depth in range(h, 0, -1):
-        by_parent: dict[LeafCode, dict[int, OrderedTree]] = {}
-        for code, node in level.items():
-            by_parent.setdefault(code[:-1], {})[code[-1]] = node
-        level = {}
-        for prefix, by_index in by_parent.items():
-            if min(by_index) != 0 or max(by_index) != len(by_index) - 1:
-                gaps.append(prefix)
-            level[prefix] = OrderedTree(h - depth + 1, tuple(by_index.values()))
+    ordered = sorted(code_set, reverse=True)
+    # kids[k]: the nodes read at depth k under the open node above them
+    kids: list[list[OrderedTree]] = [[] for _ in range(h)] + [[LEAF]]
+    gaps: list[LeafCode] = []
+
+    def close(prev: LeafCode, j: int) -> None:
+        """Build the open nodes at depths h-1 down to j+1, on prev's path."""
+        for k in range(h - 1, j, -1):
+            if prev[k]:  # the last child read was not index 0
+                gaps.append(prev[:k])
+            kids[k].append(OrderedTree(h - k, tuple(kids[k + 1])))
+            kids[k + 1].clear()
+
+    prev = ordered[0]
+    for code in itertools.islice(ordered, 1, None):
+        j = 0
+        while code[j] == prev[j]:
+            j += 1
+        close(prev, j)
+        if code[j] != prev[j] - 1:
+            gaps.append(prev[:j])
+        kids[h].append(LEAF)
+        prev = code
+    close(prev, -1)
     if gaps:
         # the gap a depth-first walk from the leftmost child meets first
         first = min(gaps, key=lambda prefix: [-idx for idx in prefix])
         raise ValueError(f"missing child index at depth {len(first) + 1}")
-    return level[()]
+    return kids[0][0]

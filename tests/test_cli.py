@@ -408,6 +408,22 @@ class TestTree:
             f"error: {codes}:3: malformed leaf code '1,x', "
             "expected comma-separated integers\n")
 
+    @pytest.mark.parametrize("text, h, lineno, line", [
+        ("0,1_0\n", 2, 1, "0,1_0"),  # int() would read (0, 10)
+        ("0\n1\n+2\n", 1, 3, "+2"),  # int() would read a third leaf
+        ("0,-1\n", 2, 1, "0,-1"),  # int() would read a negative index
+    ], ids=["underscore", "plus-sign", "minus-sign"])
+    def test_codes_file_takes_decimal_indices_only(self, tmp_path, capsys, text, h, lineno, line):
+        codes = tmp_path / "codes.txt"
+        codes.write_text(text)
+        assert main(["tree", "check", "--n", "3", "--h", str(h),
+                     "--file", str(codes)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {codes}:{lineno}: malformed leaf code {line!r}, "
+            "expected comma-separated integers\n")
+
     def test_codes_file_byte_order_mark(self, tmp_path, capsys, game_file):
         # leaf-code files are decoded as game files are: UTF-8, mark dropped
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"

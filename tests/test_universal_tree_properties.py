@@ -32,6 +32,7 @@ from paritytree.universal_tree import (
     tree_from_leaf_codes,
     _proved_n,
 )
+from leaf_codes_reference import reference_tree_from_leaf_codes
 from test_universal_tree import lift_onto, reference_fixed_point, scan_min_geq
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -263,6 +264,46 @@ def test_proved_trees_host_every_shape(data):
     if t.proved_n >= n:
         for shape in enumerate_trees(n, h):
             assert reference_embed(shape, t) is not None, shape
+
+
+@st.composite
+def code_lists(draw):
+    """The leaf codes of a random or grown tree, shuffled, as they are or
+    broken by one edit: a code dropped, an index raised, an index made
+    negative, a code repeated, or a code cut one level short."""
+    h = draw(st.integers(1, 4))
+    codes = list(leaf_codes(draw(st.one_of(trees(h), grown_trees(h)))))
+    edit = draw(st.sampled_from(("none", "drop", "raise", "negate", "repeat", "shorten")))
+    if codes and edit != "none":
+        i = draw(st.integers(0, len(codes) - 1))
+        if edit == "drop":
+            del codes[i]
+        elif edit == "repeat":
+            codes.append(codes[i])
+        elif edit == "shorten":
+            codes[i] = codes[i][:-1]
+        else:
+            code, k, step = list(codes[i]), draw(st.integers(0, h - 1)), draw(st.integers(1, 2))
+            code[k] = code[k] + step if edit == "raise" else -step
+            codes[i] = tuple(code)
+    return draw(st.permutations(codes)), h
+
+
+def read_codes(build, codes, h):
+    """The tree build reads from codes, or the message of its ValueError."""
+    try:
+        return build(codes, h)
+    except ValueError as exc:
+        return str(exc)
+
+
+@hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+@hypothesis.given(code_lists())
+def test_one_pass_read_matches_the_per_depth_reference(case):
+    codes, h = case
+    got = read_codes(tree_from_leaf_codes, codes, h)
+    want = read_codes(reference_tree_from_leaf_codes, codes, h)
+    assert type(got) is type(want) and got == want
 
 
 @pytest.mark.parametrize("n, h", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
