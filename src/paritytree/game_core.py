@@ -45,8 +45,8 @@ class ParityGame:
     Facts derived from the game are computed at most once per game object
     and cached in its instance dict: its invariant violations
     (``validate_game``) and its predecessor lists (``predecessors``), and
-    whatever a solver keeps there itself (``zielonka`` keeps its region and
-    strategy).  The caches hold only because the game cannot change, so
+    whatever a solver keeps there itself (``zielonka`` keeps its region,
+    strategy and priority buckets).  The caches hold only because the game cannot change, so
     the per-vertex tables must be tuples, never lists.  ``parse_pgsolver``
     fills the violations cache with ``()`` itself, since its own checks
     imply every invariant, so a parsed game is never scanned for them.

@@ -1,18 +1,20 @@
-"""Zielonka's recursive algorithm in its McNaughton--Zielonka form, over
+"""Zielonka's algorithm in its McNaughton--Zielonka form, over
 counter-based attractors, plus extraction of classical signatures.
 
 A subgame is a vertex set of one base game in which every vertex keeps a
 successor, so vertex ids stay stable throughout the recursion.  On a
 subgame V with top priority p, the player who likes p attracts to the
-priority-p vertices; the rest is solved recursively.  If the opponent wins
+priority-p vertices; the rest is solved first.  If the opponent wins
 nothing there, the player wins all of V; otherwise the opponent's part is
-attracted to and removed, and the loop goes on with what is left.  Each
-attractor is O(m): ``ParityGame.predecessors`` is built once per game and
-every opponent vertex counts its successors still outside the attractor.
+attracted to and removed, and the loop goes on with what is left.  The
+recursion is a loop over an explicit stack, and the top priority comes
+from the game's priority buckets, not from a scan of V.  Each attractor
+is O(m): ``ParityGame.predecessors`` is built once per game and every
+opponent vertex counts its successors still outside the attractor.
 Eve's positional strategy comes from the same pass: attractor witnesses,
 any successor inside V at her top-priority vertices, and the sub-results.
-The recursion runs once per game: its region and strategy are kept in
-the game's instance dict, and every function here reads them there.
+The recursion runs once per game: its region, strategy and buckets are
+kept in the game's instance dict, and every function here reads them.
 
 The classical signature is read off that strategy: once Eve's moves are
 fixed, each of its components is a longest-path count in the graph her
@@ -22,8 +24,6 @@ leaves, as Jurdzinski's small progress measures are: plain leaf codes.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict, deque
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
 from .universal_tree import TOP, LeafCode, guard_build, level
@@ -60,32 +60,70 @@ def attractor(g: ParityGame, arena: Vertices, target: Vertices, player: int,
     return attr
 
 
+def _priority_buckets(g: ParityGame) -> list[tuple[int, set[int]]]:
+    """(p, the priority-p vertices) for each priority the game holds,
+    highest first; built once per game, shared, not to be modified."""
+    buckets = g.__dict__.get("_priority_buckets")
+    if buckets is None:
+        by_priority: dict[int, set[int]] = {}
+        for v, p in enumerate(g.priority):
+            bucket = by_priority.get(p)
+            if bucket is None:
+                by_priority[p] = {v}
+            else:
+                bucket.add(v)
+        buckets = g.__dict__["_priority_buckets"] = sorted(by_priority.items(), reverse=True)
+    return buckets
+
+
 def _solve(g: ParityGame, V: Vertices, sigma: dict[int, int]) -> set[int]:
     """Eve's winning vertices of the subgame V.  Her strategy is written to
     ``sigma``: the last entry written for each of her winning vertices is
-    a winning move, other entries are stale."""
-    priority = g.priority
+    a winning move, other entries are stale.  A stack frame (V, won, i,
+    top, rest) waits for Eve's part of ``rest``, which lacks V's top
+    priority, bucket i; an empty V ends a frame, returning ``won``."""
+    owner, succs = g.owner, g.successors
+    buckets = _priority_buckets(g)
+    stack: list[tuple[Vertices, set[int], int, set[int], set[int]]] = []
     won: set[int] = set()
-    while V:
-        p = max(priority[v] for v in V)
-        player = EVE if p % 2 == 0 else ADAM
-        top = {v for v in V if priority[v] == p}
-        attracted = attractor(g, V, top, player, V, sigma)
-        rest = V - attracted
-        rest_eve = _solve(g, rest, sigma)
-        lost = rest - rest_eve if player == EVE else rest_eve
-        if not lost:
-            if player == EVE:
-                for v in top:
-                    if g.owner[v] == EVE:
-                        sigma[v] = next(w for w in g.successors[v] if w in V)
-                won |= V
+    i = 0
+    while True:
+        if V:
+            while V.isdisjoint(buckets[i][1]):
+                i += 1
+            p, bucket = buckets[i]
+            top = V.intersection(bucket)
+            if p % 2 == EVE and len(top) > 1:
+                # Eve's attractor picks her moves in top's order: keep V's
+                top = {v for v in V if v in bucket}
+            rest = V - attractor(g, V, top, p % 2, V, sigma)
+            if rest:
+                stack.append((V, won, i, top, rest))
+                V, won, i = rest, set(), i + 1
+                continue
+            rest_eve = rest
+        elif stack:
+            rest_eve = won
+            V, won, i, top, rest = stack.pop()
+        else:
             return won
-        taken = attractor(g, V, lost, 1 - player, V, sigma)
-        if player == ADAM:
-            won |= taken
-        V = V - taken
-    return won
+        player = buckets[i][0] % 2  # EVE likes even priorities, ADAM odd
+        lost = rest - rest_eve if player == EVE else rest_eve
+        if lost:
+            taken = attractor(g, V, lost, 1 - player, V, sigma)
+            if player == ADAM:
+                won |= taken
+            V = V - taken
+            continue
+        if player == EVE:
+            for v in top:
+                if owner[v] == EVE:
+                    for w in succs[v]:
+                        if w in V:
+                            sigma[v] = w
+                            break
+            won |= V
+        V = set()  # V is solved: its frame ends
 
 
 def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]:
@@ -130,9 +168,9 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     counts 0.  No such path repeats a priority-p vertex, so the count is
     at most |V_p & E| < n, as E holds an even cycle's top.  So mu(v) is a
     leaf code of make_naive_tree(n, d // 2) whose entry level(d, p) - 1,
-    the last entry p's order reads, is the component for odd p.  E is
-    bucketed by odd priority once, and each odd priority that E holds gets
-    one fifo worklist relaxation over the game's predecessor lists,
+    the last entry p's order reads, is the component for odd p.  Each odd
+    priority that E holds, read off the game's priority buckets, gets one
+    fifo worklist relaxation over the game's predecessor lists,
     skipping the edges that graph drops; every other component is 0.  A
     vertex gets a row of components only when some count reaches it, and
     the vertices no count reaches share one all-zero tuple.  Vertices in
@@ -143,35 +181,34 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     guard_build("signature", g.n, width, 0, g.n * width)
     eve, sigma = _region_and_strategy(g)
     priority, preds = g.priority, g.predecessors()
-    tops: dict[int, list[int]] = {}  # odd p -> Eve's region's priority-p vertices
-    for v in eve:
-        if priority[v] % 2:
-            tops.setdefault(priority[v], []).append(v)
-    # a row of components for each vertex some count reaches
-    rows: defaultdict[int, list[int]] = defaultdict(lambda: [0] * width)
-    for p, top in tops.items():
+    rows: dict[int, list[int]] = {}  # components of each vertex some count reaches
+    for p, bucket in _priority_buckets(g):
+        if p % 2 == 0 or eve.isdisjoint(bucket):
+            continue
+        top = eve.intersection(bucket)
         count = dict.fromkeys(top, 1)
-        work = deque(top)
+        work = list(top)
         queued = set(top)
-        while work:
-            w = work.popleft()
-            queued.discard(w)
-            reach = count[w]
-            for v in preds[w]:
-                if priority[v] > p or v not in eve or sigma.get(v, w) != w:
-                    continue
-                c = reach + (priority[v] == p)
-                if c > count.get(v, 0):
-                    if c > len(top):
-                        raise AssertionError(
-                            f"vertex {v} won by Eve lies on a cycle through priority {p}")
-                    count[v] = c
-                    if v not in queued:
-                        queued.add(v)
-                        work.append(v)
+        while work:  # fifo, one round of the worklist at a time
+            batch, work = work, []
+            for w in batch:
+                queued.discard(w)
+                reach = count[w]
+                for v in preds[w]:
+                    if priority[v] > p or v not in eve or sigma.get(v, w) != w:
+                        continue
+                    c = reach + (priority[v] == p)
+                    if c > count.get(v, 0):
+                        if c > len(top):
+                            raise AssertionError(
+                                f"vertex {v} won by Eve lies on a cycle through priority {p}")
+                        count[v] = c
+                        if v not in queued:
+                            queued.add(v)
+                            work.append(v)
         i = level(g.d, p) - 1
         for v, c in count.items():
-            rows[v][i] = c
+            rows.setdefault(v, [0] * width)[i] = c
     zero = (0,) * width
     mu: dict[int, LeafCode | str] = dict.fromkeys(frozenset(g.vertices()) - eve, TOP)
     for v in eve:

@@ -1,3 +1,7 @@
+import hashlib
+import inspect
+import random
+import sys
 import time
 
 import pytest
@@ -20,6 +24,7 @@ from paritytree.zielonka import (
     extract_signature,
     solve_zielonka,
 )
+from families import ladder
 from signature_reference import (
     EQUAL,
     GREATER,
@@ -332,3 +337,41 @@ class TestOneSolvePerGame:
         mu = extract_signature(g)
         assert time.perf_counter() - started < 10
         assert [mu[v] for v in range(4)] == [(0,), (1,), (0,), (0,)]
+
+
+def pinned_games():
+    """300 seeded games: n from 1 to 40, d from 2 to 12, 1-3 successors."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, d = rng.randint(1, 40), rng.choice((2, 4, 6, 8, 10, 12))
+        yield generate_random_game(n, d, (1, min(3, n)), seed)
+
+
+def results(g):
+    return (solve_zielonka(g).eve_wins, eve_winning_strategy(g),
+            repr(extract_signature(g)))
+
+
+class TestLoopMatchesRecursion:
+    # sha256 of repr() of the 300 (sorted region, strategy, signature repr)
+    # triples below, as the recursive solve (zielonka_reference) gives them
+    RESULTS_SHA256 = "ce99d332d9762607a942e13f70a723be3a03da53fb56bd9a5b6e319c25ada3c3"
+
+    def test_results_pinned(self):
+        triples = [(sorted(eve), sigma, mu) for eve, sigma, mu in map(results, pinned_games())]
+        assert hashlib.sha256(repr(triples).encode()).hexdigest() == self.RESULTS_SHA256
+
+    def test_ladder_under_a_tight_recursion_limit(self):
+        # the recursive solve nests a Python frame per priority and raises
+        # RecursionError here; the loop nests none
+        g = ladder(400)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            region = solve_zielonka(g)
+            mu = extract_signature(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert region.eve_wins == frozenset({0})
+        assert mu[0] == (0,) * 200
+        assert all(mu[v] == TOP for v in range(1, 400))
