@@ -17,7 +17,6 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 EVE = 0
 ADAM = 1
@@ -69,24 +68,19 @@ class ParityGame:
         """Reverse adjacency: ``predecessors()[w]`` lists each vertex with an
         edge to w once, in ascending order.  Built once per game in O(m);
         every call returns the same lists, which callers must not modify."""
-        return self._predecessors
-
-    @cached_property
-    def _predecessors(self) -> list[list[int]]:
-        n = self.n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        last = [-1] * n  # last[w]: the latest source already listed in preds[w]
-        for v, succs in enumerate(self.successors):
-            for w in succs:
-                if 0 <= w < n and last[w] != v:
-                    last[w] = v
-                    preds[w].append(v)
+        preds = self.__dict__.get("_predecessors")
+        if preds is None:
+            n = self.n
+            preds = self.__dict__["_predecessors"] = [[] for _ in range(n)]
+            for v, succs in enumerate(self.successors):
+                for w in succs:  # an earlier edge v -> w left v last in preds[w]
+                    if 0 <= w < n and (not preds[w] or preds[w][-1] != v):
+                        preds[w].append(v)
         return preds
 
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
+    def _find_violations(self) -> tuple[str, ...]:
         violations = []
-        n = self.n
+        n, d = self.n, self.d
         if len(self.priority) != n:
             violations.append(
                 f"priority table has {len(self.priority)} entries for {n} vertices")
@@ -95,19 +89,17 @@ class ParityGame:
                 f"successor table has {len(self.successors)} entries for {n} vertices")
         if self.names is not None and len(self.names) != n:
             violations.append(f"name table has {len(self.names)} entries for {n} vertices")
-        if self.d < 2 or self.d % 2 != 0:
-            violations.append(f"d={self.d} is not an even number >= 2")
-        for v in range(min(n, len(self.owner))):
-            if self.owner[v] not in (EVE, ADAM):
-                violations.append(f"vertex {v}: owner {self.owner[v]} not in {{0, 1}}")
-        for v in range(min(n, len(self.priority))):
-            p = self.priority[v]
+        if d < 2 or d % 2 != 0:
+            violations.append(f"d={d} is not an even number >= 2")
+        for v, o in enumerate(self.owner):
+            if o not in (EVE, ADAM):
+                violations.append(f"vertex {v}: owner {o} not in {{0, 1}}")
+        for v, p in enumerate(self.priority[:n]):
             if p < 0:
                 violations.append(f"vertex {v}: negative priority {p}")
-            elif p > self.d:
-                violations.append(f"vertex {v}: priority exceeds d ({p} > {self.d})")
-        for v in range(min(n, len(self.successors))):
-            succs = self.successors[v]
+            elif p > d:
+                violations.append(f"vertex {v}: priority exceeds d ({p} > {d})")
+        for v, succs in enumerate(self.successors[:n]):
             if len(succs) == 0:
                 violations.append(f"dead end at vertex {v}")
             for w in succs:
@@ -144,7 +136,10 @@ def validate_game(g: ParityGame) -> list[str]:
     exceptions: callers decide whether to raise.  They are found once per
     game; each call returns a fresh list.
     """
-    return list(g._violations)
+    found = g.__dict__.get("_violations")
+    if found is None:
+        found = g.__dict__["_violations"] = g._find_violations()
+    return list(found)
 
 
 def require_valid(g: ParityGame) -> None:

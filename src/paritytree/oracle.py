@@ -10,9 +10,10 @@ with more than STRATEGY_CAP strategies for either player are refused.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .game_core import ADAM, EVE, EVEN, ODD, ParityGame, Region, require_valid
+from .game_core import EVE, EVEN, ODD, ParityGame, Region, require_valid
 
 STRATEGY_CAP = 10**6  # strategies per player solve_bruteforce will enumerate
 
@@ -31,14 +32,6 @@ class PositionalStrategy:
         return hash(frozenset(self.choice.items()))
 
 
-def _strategy_count(g: ParityGame, player: int) -> int:
-    count = 1
-    for v in g.vertices():
-        if g.owner[v] == player:
-            count *= len(g.successors[v])
-    return count
-
-
 def play_outcome(
     g: ParityGame,
     sigma: PositionalStrategy,
@@ -50,33 +43,26 @@ def play_outcome(
     successor for every vertex of its player; the answer is read off the
     combined functional graph, as solve_bruteforce reads each profile's."""
     nxt = [sigma.choice[v] if g.owner[v] == EVE else tau.choice[v] for v in g.vertices()]
-    return EVEN if _winners_for_profile(g, nxt)[v0] else ODD
+    return EVEN if _winners_for_profile(g.priority, nxt)[v0] else ODD
 
 
-def _winners_for_profile(g: ParityGame, nxt: list[int]) -> list[bool]:
+def _winners_for_profile(priority: tuple[int, ...], nxt: list[int]) -> list[bool]:
     """Per-vertex Eve-wins flags for one combined functional graph."""
-    n = g.n
-    state = [0] * n  # 0 unknown, 1 on stack, 2 done
-    wins = [False] * n
-    for v0 in range(n):
-        if state[v0] == 2:
+    wins: list = [None] * len(nxt)  # a flag once known; the walk's path while on it
+    for v0 in range(len(nxt)):
+        if wins[v0] is not None:
             continue
-        path = []
+        path: list[int] = []
         v = v0
-        while state[v] == 0:
-            state[v] = 1
+        while wins[v] is None:
+            wins[v] = path
             path.append(v)
             v = nxt[v]
-        if state[v] == 1:
-            # fresh cycle: everything from v onwards in path is on it
-            idx = path.index(v)
-            top = max(g.priority[u] for u in path[idx:])
-            outcome = top % 2 == 0
-        else:
-            outcome = wins[v]
+        outcome = wins[v]
+        if outcome is path:  # fresh cycle: everything from v onwards in path is on it
+            outcome = max(map(priority.__getitem__, path[path.index(v):])) % 2 == 0
         for u in path:
             wins[u] = outcome
-            state[u] = 2
     return wins
 
 
@@ -88,28 +74,31 @@ def solve_bruteforce(g: ParityGame) -> Region:
     strategy count is capped at STRATEGY_CAP, read at call time.
     """
     require_valid(g)
-    if max(_strategy_count(g, EVE), _strategy_count(g, ADAM)) > STRATEGY_CAP:
+    n, successors, priority = g.n, g.successors, g.priority
+    verts, moves = ([], []), ([], [])  # per player, Eve first: her vertices, their moves
+    for v, player in enumerate(g.owner):
+        verts[player].append(v)
+        moves[player].append(successors[v])
+    (eve_verts, adam_verts), (eve_moves, adam_moves) = verts, moves
+    if max(math.prod(map(len, eve_moves)), math.prod(map(len, adam_moves))) > STRATEGY_CAP:
         raise OracleSizeError(
             f"strategy space exceeds cap {STRATEGY_CAP}; refusing to enumerate")
-    n = g.n
     eve_wins: set[int] = set()
-    adam_verts = [v for v in range(n) if g.owner[v] == ADAM]
-    eve_verts = [v for v in range(n) if g.owner[v] == EVE]
     nxt = [0] * n
-    for picks in itertools.product(*(g.successors[v] for v in eve_verts)):
+    for picks in itertools.product(*eve_moves):
         for v, w in zip(eve_verts, picks):
             nxt[v] = w
-        good = set(range(n)) - eve_wins
+        good = [v for v in range(n) if v not in eve_wins]
         if not good:
             break
         # Adam's strategies are streamed afresh per Eve profile, never stored
-        for tau in itertools.product(*(g.successors[v] for v in adam_verts)):
+        for tau in itertools.product(*adam_moves):
             for v, w in zip(adam_verts, tau):
                 nxt[v] = w
-            wins = _winners_for_profile(g, nxt)
-            good = {v for v in good if wins[v]}
+            wins = _winners_for_profile(priority, nxt)
+            good = [v for v in good if wins[v]]
             if not good:
                 break
-        eve_wins |= good
-    all_verts = frozenset(range(n))
-    return Region(frozenset(eve_wins), all_verts - frozenset(eve_wins))
+        eve_wins.update(good)
+    eve = frozenset(eve_wins)
+    return Region(eve, frozenset(range(n)) - eve)

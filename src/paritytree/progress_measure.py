@@ -166,14 +166,17 @@ def value_iteration(
     n = g.n
     if initial is not None and len(initial) != n:
         raise ValueError(f"initial measure has {len(initial)} values for {n} vertices")
-    if not leaf_count(tree):
+    top = leaf_count(tree)
+    if not top:
         raise ValueError("the tree has no leaves")
-    mu = [code_to_rank(tree, c) for c in initial] if initial is not None else [0] * n
     bounds_of = tree.bounds
-    for rank in set(mu):
-        if rank not in bounds_of:
-            bounds_of[rank] = block_bounds(tree, rank)
-    held = list(map(bounds_of.__getitem__, mu))
+    bounds_at = bounds_of.get
+    if initial is None:  # one lookup for the smallest leaf's bounds, shared by every vertex
+        mu = [0] * n
+        held = [bounds_at(0) or bounds_of.setdefault(0, block_bounds(tree, 0))] * n
+    else:
+        mu = [code_to_rank(tree, c) for c in initial]
+        held = [bounds_at(r) or bounds_of.setdefault(r, block_bounds(tree, r)) for r in mu]
     slots = lift_slots(tree.height, g.d)
     requeue = [()] * n if policy == "roundrobin" else g.predecessors()
     plan = [(slots[p], ws[0], o == EVE if len(ws) > 1 else None, ws[1:], back)
@@ -213,24 +216,25 @@ def value_iteration(
                             best = held[w][at]
             if best > mu[v]:
                 mu[v] = best
-                found = bounds_of.get(best)
-                if found is None:
-                    found = bounds_of[best] = block_bounds(tree, best)
-                held[v] = found
+                held[v] = bounds_at(best) or bounds_of.setdefault(best, block_bounds(tree, best))
                 per_vertex[v] += 1
                 for u in back:
                     if not queued[u]:
                         queued[u] = True
                         push(u)
-    stats = LiftStats(sum(per_vertex), per_vertex)
-    top = leaf_count(tree)
-    eve_wins = frozenset(v for v in range(n) if mu[v] != top)
     codes = tree.codes
-    for rank in set(mu):
-        if rank not in codes:
-            codes[rank] = rank_to_code(tree, rank)
-    return (list(map(codes.__getitem__, mu)),
-            Region(eve_wins, frozenset(range(n)) - eve_wins), stats)
+    code_at = codes.get
+    final, eve = [], []
+    for v, rank in enumerate(mu):
+        code = code_at(rank)
+        if code is None:
+            code = codes[rank] = rank_to_code(tree, rank)
+        final.append(code)
+        if rank != top:
+            eve.append(v)
+    eve_wins = frozenset(eve)
+    return (final, Region(eve_wins, frozenset(range(n)) - eve_wins),
+            LiftStats(sum(per_vertex), per_vertex))
 
 
 def _chunks(work: list[int], chunk: int):

@@ -37,7 +37,11 @@ def attractor(g: ParityGame, arena: Vertices, target: Vertices, player: int,
     a visit to it.  A vertex of the opponent joins once all its successors
     in ``moves`` have joined.  When ``player`` is Eve and ``sigma`` is
     given, each of her vertices that joins records the successor it joined
-    through."""
+    through.  That witness follows ``target``'s iteration order, which for
+    a CPython set depends on how the set was built, not only on what it
+    holds; so a caller that must reproduce Eve's strategy builds its target
+    sets as ``_solve`` does (tests/test_zielonka.py's
+    ``TestLoopMatchesRecursion.RESULTS_SHA256`` pins the result)."""
     owner, succs, preds = g.owner, g.successors, g.predecessors()
     attr = set(target)
     queue = list(attr)
@@ -133,8 +137,9 @@ def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]
     if solved is None:
         require_valid(g)
         sigma: dict[int, int] = {}
-        eve = frozenset(_solve(g, set(g.vertices()), sigma))
-        solved = eve, {v: sigma[v] for v in sorted(eve) if g.owner[v] == EVE}
+        eve = frozenset(_solve(g, set(range(g.n)), sigma))
+        owner = g.owner
+        solved = eve, {v: sigma[v] for v in sorted(eve) if owner[v] == EVE}
         g.__dict__["_zielonka"] = solved
     return solved
 
@@ -142,7 +147,7 @@ def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]
 def solve_zielonka(g: ParityGame) -> Region:
     """Winning regions via the attractor recursion."""
     eve = _region_and_strategy(g)[0]
-    return Region(eve, frozenset(g.vertices()) - eve)
+    return Region(eve, frozenset(range(g.n)) - eve)
 
 
 def eve_winning_strategy(g: ParityGame) -> dict[int, int]:

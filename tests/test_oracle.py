@@ -1,15 +1,17 @@
+import random
 import tracemalloc
 
 import pytest
 
 from paritytree import oracle
-from paritytree.game_core import ADAM, EVE, EVEN, ODD, ParityGame
+from paritytree.game_core import ADAM, EVE, EVEN, ODD, ParityGame, generate_random_game
 from paritytree.oracle import (
     OracleSizeError,
     PositionalStrategy,
     play_outcome,
     solve_bruteforce,
 )
+from oracle_reference import reference_solve_bruteforce, reference_winners_for_profile
 
 
 def make(d, owner, priority, successors):
@@ -97,3 +99,29 @@ def test_adam_strategies_are_streamed():
         tracemalloc.stop()
     assert region.eve_wins == frozenset(range(n))
     assert peak < 1 << 20
+
+
+class TestMatchesReference:
+    """The trimmed oracle against its untrimmed copy (oracle_reference)."""
+
+    @staticmethod
+    def games():
+        # n 1-8, d 2-8, out-degree (1, 2) and (1, 3), as far as n allows
+        for seed in range(3200):
+            n, d, hi = 1 + seed % 8, 2 + 2 * (seed // 8 % 4), 2 + seed // 32 % 2
+            yield generate_random_game(n, d, (1, min(hi, n)), seed)
+
+    def test_regions(self):
+        for seed, g in enumerate(self.games()):
+            assert solve_bruteforce(g) == reference_solve_bruteforce(g), seed
+
+    def test_play_outcome_on_every_start_vertex(self):
+        for seed, g in enumerate(self.games()):
+            rng = random.Random(seed)
+            for _ in range(4):  # four seeded strategy profiles per game
+                nxt = [rng.choice(ws) for ws in g.successors]
+                sigma = PositionalStrategy({v: nxt[v] for v in g.vertices() if g.owner[v] == EVE})
+                tau = PositionalStrategy({v: nxt[v] for v in g.vertices() if g.owner[v] == ADAM})
+                wins = reference_winners_for_profile(g, nxt)
+                for v0 in g.vertices():
+                    assert play_outcome(g, sigma, tau, v0) == (EVEN if wins[v0] else ODD), seed

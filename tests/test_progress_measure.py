@@ -179,6 +179,26 @@ class TestValueIteration:
         with pytest.raises(ValueError, match="initial measure has 1 values for 2 vertices"):
             value_iteration(g, tree, initial=[(1,)])
 
+    def test_default_start_equals_explicit_smallest_leaf_start(self):
+        # the default start looks up the smallest leaf's bounds once, an
+        # explicit initial= measure each vertex's; each runs first on a
+        # fresh tree, whose bounds memo starts empty, then on the interned one
+        for mk in (make_naive_tree, make_succinct_tree):
+            for seed in range(40):
+                n = 1 + seed % 7
+                g = generate_random_game(n, 2 + 2 * (seed % 3), (1, min(2, n)), seed)
+                h = g.d // 2
+                codes = list(leaf_codes(mk(n, h)))
+                for policy in POLICIES:
+                    runs = []
+                    for initial in (None, [(0,) * h] * n):
+                        fresh = tree_from_leaf_codes(codes, h)
+                        assert not fresh.bounds
+                        for tree in (fresh, mk(n, h)):
+                            mu, region, stats = value_iteration(g, tree, policy, seed, initial)
+                            runs.append((mu, region, stats.total, stats.per_vertex))
+                    assert all(run == runs[0] for run in runs[1:]), (mk, seed, policy)
+
     def test_trees_of_one_height_share_no_state(self):
         # naive (9 leaves) and succinct (5 leaves) trees of height 2 share
         # their (h, d) slots and nothing else, whichever runs first; two
