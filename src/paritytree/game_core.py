@@ -9,14 +9,23 @@ Conventions used throughout the package:
 * Eve wins an infinite play iff the largest priority seen infinitely
   often is even (max-parity convention, fixed globally);
 * every vertex has at least one successor (dead ends are invalid input).
+
+PGSolver text is read by one of two readers that give the same game.
+Canonical text, the form ``write_pgsolver`` writes (a header
+``parity N;``, then one line ``V P O S(,S)*;`` per vertex with ids 0..N
+in order, single spaces, ASCII digits without leading zeros, every line
+ended by ``\\n``, no names), is read in blocks by ``re`` and ``json`` in C.
+Everything else, and every error, goes to a line-tolerant regex scan.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 EVE = 0
 ADAM = 1
@@ -159,6 +168,12 @@ _ROW_RE = re.compile(
     r"(?:[^\S\n]+(\"[^\"\n]*\"))?[^\S\n]*;|(.*\S)?)[^\S\n]*$", re.M)
 _BLANK = ("",) * 6  # the row of a blank line
 
+# Canonical text (see parse_pgsolver).  The row pattern lets leading zeros through to
+# json.loads, which refuses them.
+_CANONICAL_HEADER_RE = re.compile(r"parity (0|[1-9][0-9]*);\n")
+_CANONICAL_ROWS_RE = re.compile(r"(?:[0-9]+ [0-9]+ [01] [0-9]+(?:,[0-9]+)*;\n)+")
+_BLOCK = 1 << 16  # characters of canonical rows read at a time, at least
+
 
 def _number(text: str, line: int, what: str) -> int:
     """int(text) for a digit run, or a PGParseError naming its line when
@@ -181,15 +196,71 @@ def parse_pgsolver(text: str) -> ParityGame:
     priority bound d is the maximum priority rounded up to the nearest
     even number (>= 2).
 
+    Two readers give the same game.  Canonical text, as ``write_pgsolver``
+    writes it, is read in blocks at C speed (``_read_canonical``): the
+    header ``parity N;`` and then one line ``V P O S(,S)*;`` per vertex,
+    ids 0..N in order, single spaces, ASCII digits without leading zeros,
+    every line ended by ``\n``, and no names.  Any other text, and any
+    canonical-looking text that fails a check, goes to the line-tolerant
+    scan (``_scan_lines``), the only code that names errors.  Either way
+    the checks imply every invariant ``validate_game`` checks, so the
+    game comes back marked valid and is never rescanned.
+    """
+    g = _read_canonical(text) or _scan_lines(text)
+    g.__dict__["_violations"] = ()  # the readers' checks imply every invariant
+    return g
+
+
+def _read_canonical(text: str) -> ParityGame | None:
+    """The game of a canonical text, or None for any other text.
+
+    The rows are read about ``_BLOCK`` characters at a time: one
+    capture-free ``fullmatch`` checks a block's lines and one
+    ``json.loads`` reads their numbers, both in C, so the transient
+    memory is one block's, not one row per line of the whole text.
+    """
+    header = _CANONICAL_HEADER_RE.match(text)
+    if header is None:
+        return None
+    owner: list[int] = []
+    priority: list[int] = []
+    successors: list[tuple[int, ...]] = []
+    start, size = header.end(), len(text)
+    try:
+        while start < size:
+            end = text.find("\n", start + _BLOCK) + 1 or size
+            block = text[start:end]
+            if _CANONICAL_ROWS_RE.fullmatch(block) is None:
+                return None
+            # "V P O S,S;\n" lines -> [[V,P,O,S,S],...]; json.loads refuses leading zeros
+            rows = json.loads("[[" + block[:-2].replace(";\n", "],[").replace(" ", ",") + "]]")
+            k = len(owner)
+            if list(map(itemgetter(0), rows)) != list(range(k, k + len(rows))):
+                return None
+            priority += map(itemgetter(1), rows)
+            owner += map(itemgetter(2), rows)
+            successors += map(tuple, map(itemgetter(slice(3, None)), rows))
+            start = end
+        n = len(owner)  # an empty body has n = 0, which no header declares
+        if int(header[1]) != n - 1 or max(map(max, successors)) >= n:
+            return None
+    except ValueError:  # a leading zero, or a number past int()'s digit limit
+        return None
+    return ParityGame(even_priority_bound(max(priority)), tuple(owner), tuple(priority),
+                      tuple(successors))
+
+
+def _scan_lines(text: str) -> ParityGame:
+    """Parse any text ``parse_pgsolver`` accepts, or name its first error.
+
     The text after the header is read in one regex scan, one row per
     line; the tables are built from the vertex rows' columns and checked
-    there.  The checks imply every invariant ``validate_game`` checks, so
-    the game comes back marked valid and is never rescanned.  A failed
-    check walks the same rows for the first error: per line, a missing
-    ';', a bad header (the first non-blank line), a malformed vertex line,
-    a repeated id or a number longer than int() reads; then no header, no
-    vertex lines, ids not dense (at line 1), a header too long or not
-    matching them, and the first undeclared successor.
+    there.  A failed check walks the same rows for the first error: per
+    line, a missing ';', a bad header (the first non-blank line), a
+    malformed vertex line, a repeated id or a number longer than int()
+    reads; then no header, no vertex lines, ids not dense (at line 1), a
+    header too long or not matching them, and the first undeclared
+    successor.
     """
     lines = text.splitlines()
     joined = "\n".join(lines)
@@ -242,15 +313,13 @@ def parse_pgsolver(text: str) -> ParityGame:
             raise PGParseError(header_line, f"header declares max id {int(header[1])}, "
                                             f"but the vertices are 0..{n - 1}")
         raise PGParseError(*dangling[0])
-    g = ParityGame(
+    return ParityGame(
         d=even_priority_bound(max(priority)),
         owner=tuple(map(int, owners)),
         priority=priority,
         successors=successors,
         names=tuple([q[1:-1] if q else None for q in quoted]) if any(quoted) else None,
     )
-    g.__dict__["_violations"] = ()  # the checks above imply every invariant
-    return g
 
 
 def write_pgsolver(g: ParityGame) -> str:

@@ -130,24 +130,26 @@ def _solve(g: ParityGame, V: Vertices, sigma: dict[int, int]) -> set[int]:
         V = set()  # V is solved: its frame ends
 
 
-def _region_and_strategy(g: ParityGame) -> tuple[frozenset[int], dict[int, int]]:
-    """Eve's region and strategy, from the one recursion run per game, kept
-    in its instance dict; callers share them, so must not modify them."""
+def _region_and_strategy(g: ParityGame) -> tuple[Region, dict[int, int]]:
+    """The winning regions and Eve's strategy, from the one recursion run
+    per game, kept in its instance dict; callers share them, so must not
+    modify them."""
     solved = g.__dict__.get("_zielonka")
     if solved is None:
         require_valid(g)
         sigma: dict[int, int] = {}
         eve = frozenset(_solve(g, set(range(g.n)), sigma))
         owner = g.owner
-        solved = eve, {v: sigma[v] for v in sorted(eve) if owner[v] == EVE}
+        solved = (Region(eve, frozenset(range(g.n)) - eve),
+                  {v: sigma[v] for v in sorted(eve) if owner[v] == EVE})
         g.__dict__["_zielonka"] = solved
     return solved
 
 
 def solve_zielonka(g: ParityGame) -> Region:
-    """Winning regions via the attractor recursion."""
-    eve = _region_and_strategy(g)[0]
-    return Region(eve, frozenset(range(g.n)) - eve)
+    """Winning regions via the attractor recursion; every call on one game
+    returns the same Region."""
+    return _region_and_strategy(g)[0]
 
 
 def eve_winning_strategy(g: ParityGame) -> dict[int, int]:
@@ -184,7 +186,8 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     """
     width = g.d // 2
     guard_build("signature", g.n, width, 0, g.n * width)
-    eve, sigma = _region_and_strategy(g)
+    region, sigma = _region_and_strategy(g)
+    eve = region.eve_wins
     priority, preds = g.priority, g.predecessors()
     rows: dict[int, list[int]] = {}  # components of each vertex some count reaches
     for p, bucket in _priority_buckets(g):
@@ -215,7 +218,7 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
         for v, c in count.items():
             rows.setdefault(v, [0] * width)[i] = c
     zero = (0,) * width
-    mu: dict[int, LeafCode | str] = dict.fromkeys(frozenset(g.vertices()) - eve, TOP)
+    mu: dict[int, LeafCode | str] = dict.fromkeys(region.adam_wins, TOP)
     for v in eve:
         row = rows.get(v)
         mu[v] = zero if row is None else tuple(row)

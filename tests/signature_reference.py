@@ -135,8 +135,8 @@ def reference_signature(g: ParityGame) -> dict[int, tuple[int, ...] | str]:
     terminals taken from the winning regions restricted to priorities
     above p; component p of mu(v) is the first stage index containing v.
     Vertices in Adam's region map to TOP."""
-    eve, sigma = _region_and_strategy(g)
-    adam = frozenset(g.vertices()) - eve
+    region, sigma = _region_and_strategy(g)
+    eve, adam = region.eve_wins, region.adam_wins
     gs = _restrict_to_strategy(g, sigma)
     comp = {v: [0] * (g.d // 2) for v in eve}
     for i, p in enumerate(range(g.d - 1, 0, -2)):

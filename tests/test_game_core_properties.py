@@ -6,12 +6,19 @@ come with every line break ``str.splitlines`` honours, with or without a
 final one, and with numbers in non-ASCII decimal digits.  The parser
 reads a text in one scan, and names an error from that scan's rows, so
 both its games and its errors must come out as ``reference_parse``'s walk
-over the lines gives them."""
+over the lines gives them.
+
+Canonical texts, as ``write_pgsolver`` writes them, are read block by
+block instead, and must never reach that scan; one edit to such a text
+must send it there, and still give ``reference_parse``'s game or error.
+Blocks are shrunk down to a row or two so that edits land in every one."""
 
 import re
+import sys
 
 import pytest
 
+from paritytree import game_core
 from paritytree.game_core import (
     ParityGame,
     PGParseError,
@@ -231,3 +238,104 @@ def test_broken_texts_with_any_line_breaks_raise_the_reference_error(text):
 def test_named_errors_match_reference(text, line, message):
     assert outcome(parse_pgsolver, text) == ("error", line, message)
     assert outcome(reference_parse, text) == ("error", line, message)
+
+
+@st.composite
+def canonical_games(draw):
+    """A valid game of 1-60 vertices with d <= 12; successors may repeat."""
+    n = draw(st.integers(1, 60))
+    top = draw(st.integers(0, 12))
+    column = {"min_size": n, "max_size": n}
+    priority = tuple(draw(st.lists(st.integers(0, top), **column)))
+    owner = tuple(draw(st.lists(st.integers(0, 1), **column)))
+    successors = tuple(draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple), **column)))
+    return ParityGame(even_priority_bound(max(priority)), owner, priority, successors)
+
+
+# block sizes for the canonical reader: about one row, a few rows, the default
+blocks = st.sampled_from((1, 10, 100, game_core._BLOCK))
+
+EDITS = ("tab", "crlf", "leading zero", "non-ascii digit", "name", "blank line",
+         "no final newline", "swap", "header", "dangling", "long number", "empty body")
+
+
+@st.composite
+def edited(draw, text):
+    """``text`` with one edit that makes it non-canonical or invalid, and the
+    (line, message) it must raise where reference_parse, which calls int()
+    unguarded, cannot name the error; otherwise None."""
+    lines = text.splitlines()
+    n = len(lines) - 1
+    i = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(EDITS))
+    expected = None
+    end = "\n"
+    if kind == "tab":
+        at = draw(st.sampled_from([m.start() for m in re.finditer(" ", lines[i])]))
+        lines[i] = lines[i][:at] + "\t" + lines[i][at + 1:]
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif kind in ("leading zero", "non-ascii digit"):
+        i = draw(st.integers(0, n))
+        at = draw(st.sampled_from([m.start() for m in re.finditer("[0-9]", lines[i])]))
+        digit = "0" + lines[i][at] if kind == "leading zero" else chr(0x660 + int(lines[i][at]))
+        lines[i] = lines[i][:at] + digit + lines[i][at + 1:]
+    elif kind == "name":
+        lines[i] = lines[i][:-1] + ' "v";'
+    elif kind == "blank line":
+        lines.insert(draw(st.integers(1, n + 1)), "")
+    elif kind == "no final newline":
+        end = ""
+    elif kind == "swap":
+        hypothesis.assume(n > 1)
+        j = draw(st.integers(1, n).filter(i.__ne__))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "header":
+        lines[0] = f"parity {n - 1 + draw(st.sampled_from((-1, 1)))};"
+    elif kind in ("dangling", "long number"):
+        fields = lines[i][:-1].split(" ")
+        succs = fields[3].split(",")
+        k = draw(st.integers(0, len(succs) - 1))
+        if kind == "dangling":
+            succs[k] = str(n + draw(st.integers(0, 5)))
+        else:
+            digits = sys.get_int_max_str_digits() + 1
+            field = draw(st.sampled_from(("vertex id", "priority", "successor")))
+            number = "1" + "0" * (digits - 1)
+            if field == "successor":
+                succs[k] = number
+            else:
+                fields[("vertex id", "priority").index(field)] = number
+            expected = (i + 1, f"{field} of {digits} digits is past int()'s limit of "
+                               f"{digits - 1} digits")
+        lines[i] = " ".join(fields[:3] + [",".join(succs)]) + ";"
+    else:  # empty body
+        del lines[1:]
+    return "\n".join(lines) + end, expected
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(canonical_games(), blocks)
+def test_canonical_texts_never_reach_the_scan(g, block):
+    def scan(text):
+        raise AssertionError("a canonical text reached the line scan")
+
+    text = write_pgsolver(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_core, "_scan_lines", scan)
+        mp.setattr(game_core, "_BLOCK", block)
+        parsed = parse_pgsolver(text)
+    assert parsed == g == reference_parse(text)
+    assert vars(parsed)["_violations"] == ()
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(canonical_games().map(write_pgsolver).flatmap(edited), blocks)
+def test_edited_canonical_texts_match_the_reference(case, block):
+    text, expected = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(game_core, "_BLOCK", block)
+        assert game_core._read_canonical(text) is None
+        got = outcome(parse_pgsolver, text)
+    assert got == (("error", *expected) if expected else outcome(reference_parse, text))

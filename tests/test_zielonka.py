@@ -317,6 +317,13 @@ class TestOneSolvePerGame:
         assert extract_signature(g) == mu
         assert len(calls) == 1
 
+    def test_region_is_built_once(self):
+        # Region is frozen, so every call can share the one kept with the solve
+        g = generate_random_game(20, 8, (1, 3), 7)
+        region = solve_zielonka(g)
+        assert solve_zielonka(g) is region
+        assert region.adam_wins == frozenset(range(g.n)) - region.eve_wins
+
     def test_strategy_is_a_fresh_dict(self):
         g = generate_random_game(20, 8, (1, 3), 7)
         sigma = eve_winning_strategy(g)

@@ -10,7 +10,7 @@ signature read off it against this recursion's.
 
 from __future__ import annotations
 
-from paritytree.game_core import ADAM, EVE, ParityGame
+from paritytree.game_core import ADAM, EVE, ParityGame, Region
 from paritytree.zielonka import attractor, extract_signature
 
 
@@ -51,5 +51,5 @@ def reference_results(g: ParityGame) -> tuple[frozenset[int], dict[int, int], st
     eve = frozenset(reference_solve(g, set(g.vertices()), sigma))
     strategy = {v: sigma[v] for v in sorted(eve) if g.owner[v] == EVE}
     copy = ParityGame(g.d, g.owner, g.priority, g.successors, g.names)
-    copy.__dict__["_zielonka"] = eve, strategy
+    copy.__dict__["_zielonka"] = Region(eve, frozenset(range(g.n)) - eve), strategy
     return eve, strategy, repr(extract_signature(copy))
