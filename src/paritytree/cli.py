@@ -135,8 +135,8 @@ def _cross_check(g: ParityGame, args) -> int:
         results[f"vi-{spec}"] = region
     try:
         results["brute"] = oracle.solve_bruteforce(g)
-    except oracle.OracleSizeError:
-        pass
+    except oracle.OracleSizeError as exc:
+        print(f"note: skipped brute: {exc}", file=sys.stderr)
     regions = list(results.values())
     agree = all(r.eve_wins == regions[0].eve_wins for r in regions)
     for name, region in results.items():

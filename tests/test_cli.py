@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from paritytree import cli, zielonka
+from paritytree import cli, oracle, zielonka
 from paritytree.cli import EXIT_DISAGREE, EXIT_INPUT, EXIT_OK, main
 from paritytree.game_core import generate_random_game, write_pgsolver
 
@@ -107,6 +107,17 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "cross-check: agreement" in out
         assert "zielonka" in out and "brute" in out
+
+    def test_cross_check_notes_skipped_oracle(self, tmp_path, capsys):
+        # eight Eve vertices with eight moves each: 8^8 strategies, past the cap
+        path = tmp_path / "wide.pg"
+        path.write_text("parity 7;\n" + "".join(f"{v} 0 0 0,1,2,3,4,5,6,7;\n" for v in range(8)))
+        assert main(["solve", "-i", str(path), "--cross-check"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.endswith("cross-check: agreement\n")
+        assert "brute" not in captured.out
+        assert captured.err == (f"note: skipped brute: strategy space exceeds cap "
+                                f"{oracle.STRATEGY_CAP}; refusing to enumerate\n")
 
     def test_cross_check_skips_oversized_naive_tree(self, tmp_path, capsys):
         path = tmp_path / "g40.pg"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -8,10 +9,13 @@ from paritytree.game_core import ADAM, EVE, EVEN, ODD, ParityGame, generate_rand
 from paritytree.oracle import (
     OracleSizeError,
     PositionalStrategy,
+    adam_wins_against,
     play_outcome,
     solve_bruteforce,
 )
+from paritytree.zielonka import solve_zielonka
 from oracle_reference import reference_solve_bruteforce, reference_winners_for_profile
+from test_zielonka import strategy_defect
 
 
 def make(d, owner, priority, successors):
@@ -125,3 +129,52 @@ class TestMatchesReference:
                 wins = reference_winners_for_profile(g, nxt)
                 for v0 in g.vertices():
                     assert play_outcome(g, sigma, tau, v0) == (EVEN if wins[v0] else ODD), seed
+
+
+def ring(k):
+    """One Eve vertex and k Adam vertices in a ring, each Adam vertex with
+    a skip edge, all of priority 0: 2^k Adam strategies."""
+    n = k + 1
+    return make(2, [EVE] + [ADAM] * k, [0] * n,
+                [(1,)] + [((v + 1) % n, (v + 2) % n) for v in range(1, n)])
+
+
+class TestKernel:
+    """adam_wins_against, the one-player kernel, against the two-player
+    reference reader run over every Adam strategy."""
+
+    def test_every_adam_strategy(self):
+        for seed, g in enumerate(TestMatchesReference.games()):
+            rng = random.Random(seed)
+            sigma = {v: rng.choice(ws) for v, ws in enumerate(g.successors) if g.owner[v] == EVE}
+            adam_verts = [v for v in g.vertices() if g.owner[v] == ADAM]
+            nxt = [sigma.get(v) for v in g.vertices()]
+            odd_play_from = set()
+            for tau in itertools.product(*(g.successors[v] for v in adam_verts)):
+                for v, w in zip(adam_verts, tau):
+                    nxt[v] = w
+                wins = reference_winners_for_profile(g, nxt)
+                odd_play_from.update(v for v in g.vertices() if not wins[v])
+            adam = adam_wins_against(g, sigma)
+            assert adam == odd_play_from, seed
+            assert strategy_defect(g, set(g.vertices()) - adam, sigma) is None, seed
+
+    def test_unfixed_vertices_are_adams(self):
+        # Eve at 0 may go to the odd self-loop 1 or the even self-loop 2
+        g = make(2, [EVE, ADAM, ADAM], [0, 1, 2], [(1, 2), (1,), (2,)])
+        assert adam_wins_against(g, {}) == frozenset({0, 1})
+        assert adam_wins_against(g, {0: 2}) == frozenset({1})
+        assert adam_wins_against(g, {0: 1, 1: 1, 2: 2}) == frozenset({0, 1})
+
+    def test_past_adams_strategy_cap(self):
+        # test_adam_strategies_are_streamed's ring at k = 20: the oracle
+        # enumerated Adam's strategies too and refused this game
+        assert 2**20 > oracle.STRATEGY_CAP
+        g = ring(20)
+        assert solve_bruteforce(g) == solve_zielonka(g)
+        assert solve_bruteforce(g).eve_wins == frozenset(range(21))
+
+    def test_twenty_vertices(self):
+        for seed in range(4):
+            g = generate_random_game(20, 8, (2, 2), seed)
+            assert solve_bruteforce(g) == solve_zielonka(g), seed

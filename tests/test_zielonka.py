@@ -14,7 +14,7 @@ from paritytree.game_core import (
     even_priority_bound,
     generate_random_game,
 )
-from paritytree.oracle import solve_bruteforce
+from paritytree.oracle import adam_wins_against, solve_bruteforce
 from paritytree.universal_tree import EnumerationGuardError, make_naive_tree, signature_to_tree
 from paritytree.progress_measure import validate_signature
 from paritytree.zielonka import (
@@ -215,6 +215,7 @@ class TestStrategy:
             for h in (g, dual(g)):
                 eve = solve_zielonka(h).eve_wins
                 assert strategy_defect(h, eve, eve_winning_strategy(h)) is None, seed
+                assert not adam_wins_against(h, eve_winning_strategy(h)) & eve, seed
             assert solve_zielonka(dual(g)).eve_wins == adam, seed
 
     def test_defect_check_rejects_losing_strategy(self):
