@@ -2,11 +2,13 @@
 generation, tree construction/checking, bound tables, and lift benchmarks.
 
 Exit codes: 0 success, 1 input or usage error, 2 cross-check disagreement.
+A closed stdout ends a run quietly with the code it had reached.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -32,26 +34,6 @@ def _read_text(path: str) -> str:
     return data.decode("utf-8-sig")
 
 
-def _read_leaf_codes(path: str) -> list[universal_tree.LeafCode]:
-    """One leaf code per line, comma-separated child indices, as written by
-    ``tree build --dump``; blank lines are skipped.  An index is decimal
-    digits only, as in a PGSolver game: no sign and no underscore."""
-    codes = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        entries = [x.strip() for x in line.split(",")]
-        try:
-            if not all(map(str.isdecimal, entries)):
-                raise ValueError
-            codes.append(tuple(map(int, entries)))
-        except ValueError:  # int() also refuses past the digit limit
-            raise ValueError(f"{path}:{lineno}: malformed leaf code {line!r}, "
-                             "expected comma-separated integers") from None
-    return codes
-
-
 def _load_tree(spec: str, g: ParityGame) -> universal_tree.OrderedTree:
     """The tree a spec names, of height d/2 for g.  A tree from a file
     may not be universal, so loading one prints a warning."""
@@ -59,7 +41,8 @@ def _load_tree(spec: str, g: ParityGame) -> universal_tree.OrderedTree:
     if spec in TREES:
         return TREES[spec](g.n, h)
     if spec.startswith("file:"):
-        tree = universal_tree.tree_from_leaf_codes(_read_leaf_codes(spec[len("file:"):]), h)
+        path = spec[len("file:"):]
+        tree = universal_tree.tree_from_text(_read_text(path), h, path)
         print("warning: tree loaded from file; universality not guaranteed, "
               "the computed region may under-approximate Eve's", file=sys.stderr)
         return tree
@@ -139,15 +122,16 @@ def _cross_check(g: ParityGame, args) -> int:
         print(f"note: skipped brute: {exc}", file=sys.stderr)
     regions = list(results.values())
     agree = all(r.eve_wins == regions[0].eve_wins for r in regions)
+    args.decided = EXIT_OK if agree else EXIT_DISAGREE  # before stdout, which may be closed
+    if not agree:
+        print("cross-check: DISAGREEMENT, offending game follows", file=sys.stderr)
+        sys.stderr.write(game_core.write_pgsolver(g))
     for name, region in results.items():
         eve = " ".join(str(v) for v in sorted(region.eve_wins))
         print(f"{name}\t{eve}")
     if agree:
         print("cross-check: agreement")
-        return EXIT_OK
-    print("cross-check: DISAGREEMENT, offending game follows", file=sys.stderr)
-    sys.stderr.write(game_core.write_pgsolver(g))
-    return EXIT_DISAGREE
+    return args.decided
 
 
 def cmd_gen(args) -> int:
@@ -172,8 +156,7 @@ def cmd_tree(args) -> int:
         if args.dump:
             sys.stdout.write(universal_tree.dump_leaf_codes(t))
     elif args.tree_cmd == "check":
-        codes = _read_leaf_codes(args.file)
-        t = universal_tree.tree_from_leaf_codes(codes, args.height)
+        t = universal_tree.tree_from_text(_read_text(args.file), args.height, args.file)
         ok, witness = universal_tree.is_universal(t, args.n, args.height)
         if ok:
             print(f"universal for ({args.n},{args.height})")
@@ -313,16 +296,23 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command.  The only error boundary: bad input, unreadable
     or unwritable files and over-deep trees end in one ``error:`` line and
     exit 1, as does a malformed command line after argparse's usage and
-    ``error:`` lines; ``--help`` exits 0."""
+    ``error:`` lines; ``--help`` exits 0.  A closed stdout ends the run
+    quietly with the exit code already decided: 0, or 2 once a cross-check
+    has found a disagreement."""
+    args = argparse.Namespace(decided=EXIT_OK)
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return EXIT_INPUT if exc.code == 2 else exc.code
-    try:
-        return args.func(args)
+        try:
+            build_parser().parse_args(argv, args)
+            args.decided = args.func(args)
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+            args.decided = EXIT_INPUT if exc.code == 2 else exc.code
+        sys.stdout.flush()  # a closed stdout shows here, not at the interpreter's exit
+    except BrokenPipeError:  # the reader is gone; stdout on devnull keeps the exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args.decided = EXIT_INPUT
+    return args.decided
 
 
 if __name__ == "__main__":

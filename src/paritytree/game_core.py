@@ -1,5 +1,5 @@
-"""Parity game data model, validation, PGSolver-style I/O, cycle semantics,
-and seeded random instance generation.
+"""Parity game data model and the facts each game caches about itself,
+validation, PGSolver-style I/O, cycle semantics, and seeded random games.
 
 Conventions used throughout the package:
 
@@ -52,12 +52,13 @@ class ParityGame:
 
     Facts derived from the game are computed at most once per game object
     and cached in its instance dict: its invariant violations
-    (``validate_game``) and its predecessor lists (``predecessors``), and
-    whatever a solver keeps there itself (``zielonka`` keeps its region,
-    strategy and priority buckets).  The caches hold only because the game cannot change, so
-    the per-vertex tables must be tuples, never lists.  ``parse_pgsolver``
-    fills the violations cache with ``()`` itself, since its own checks
-    imply every invariant, so a parsed game is never scanned for them.
+    (``validate_game``), predecessor lists (``predecessors``) and priority
+    index (``priority_buckets``), and whatever a solver keeps there
+    (``zielonka`` keeps its region and strategy).  The caches hold only
+    because the game cannot change, so the per-vertex tables must be
+    tuples, never lists.  ``parse_pgsolver`` fills the violations cache
+    with ``()`` itself, since its own checks imply every invariant, so a
+    parsed game is never scanned for them.
     """
 
     d: int
@@ -87,17 +88,29 @@ class ParityGame:
                         preds[w].append(v)
         return preds
 
+    def priority_buckets(self) -> list[tuple[int, set[int]]]:
+        """The priority index: (p, the priority-p vertices) per priority held,
+        highest first.  Built once per game in O(n); every call returns the
+        same list, whose sets callers must not modify."""
+        buckets = self.__dict__.get("_priority_buckets")
+        if buckets is None:
+            by_priority: dict[int, set[int]] = {}
+            for v, p in enumerate(self.priority):
+                bucket = by_priority.get(p)
+                if bucket is None:
+                    by_priority[p] = {v}
+                else:
+                    bucket.add(v)
+            buckets = self.__dict__["_priority_buckets"] = sorted(by_priority.items(), reverse=True)
+        return buckets
+
     def _find_violations(self) -> tuple[str, ...]:
         violations = []
         n, d = self.n, self.d
-        if len(self.priority) != n:
-            violations.append(
-                f"priority table has {len(self.priority)} entries for {n} vertices")
-        if len(self.successors) != n:
-            violations.append(
-                f"successor table has {len(self.successors)} entries for {n} vertices")
-        if self.names is not None and len(self.names) != n:
-            violations.append(f"name table has {len(self.names)} entries for {n} vertices")
+        for what, table in (("priority", self.priority), ("successor", self.successors),
+                            ("name", range(n) if self.names is None else self.names)):
+            if len(table) != n:
+                violations.append(f"{what} table has {len(table)} entries for {n} vertices")
         if d < 2 or d % 2 != 0:
             violations.append(f"d={d} is not an even number >= 2")
         for v, o in enumerate(self.owner):
@@ -214,24 +227,26 @@ def parse_pgsolver(text: str) -> ParityGame:
 def _read_canonical(text: str) -> ParityGame | None:
     """The game of a canonical text, or None for any other text.
 
-    The rows are read about ``_BLOCK`` characters at a time: one
-    capture-free ``fullmatch`` checks a block's lines and one
-    ``json.loads`` reads their numbers, both in C, so the transient
-    memory is one block's, not one row per line of the whole text.
+    The rows are read about ``_BLOCK`` characters at a time, in C: one
+    capture-free ``fullmatch`` per block checks its lines in place, every
+    block before any is decoded, then one ``json.loads`` per block reads
+    its numbers, so the transient memory is one block's.
     """
     header = _CANONICAL_HEADER_RE.match(text)
     if header is None:
         return None
+    blocks, end, size = [], header.end(), len(text)
+    while end < size:
+        start, end = end, text.find("\n", end + _BLOCK) + 1 or size
+        if _CANONICAL_ROWS_RE.fullmatch(text, start, end) is None:
+            return None
+        blocks.append((start, end))
     owner: list[int] = []
     priority: list[int] = []
     successors: list[tuple[int, ...]] = []
-    start, size = header.end(), len(text)
     try:
-        while start < size:
-            end = text.find("\n", start + _BLOCK) + 1 or size
+        for start, end in blocks:
             block = text[start:end]
-            if _CANONICAL_ROWS_RE.fullmatch(block) is None:
-                return None
             # "V P O S,S;\n" lines -> [[V,P,O,S,S],...]; json.loads refuses leading zeros
             rows = json.loads("[[" + block[:-2].replace(";\n", "],[").replace(" ", ",") + "]]")
             k = len(owner)
@@ -240,7 +255,6 @@ def _read_canonical(text: str) -> ParityGame | None:
             priority += map(itemgetter(1), rows)
             owner += map(itemgetter(2), rows)
             successors += map(tuple, map(itemgetter(slice(3, None)), rows))
-            start = end
         n = len(owner)  # an empty body has n = 0, which no header declares
         if int(header[1]) != n - 1 or max(map(max, successors)) >= n:
             return None

@@ -55,15 +55,18 @@ def adam_wins_against(g: ParityGame, fixed: dict[int, int]) -> frozenset[int]:
 
 def _arena(g: ParityGame, fixed: dict[int, int]) -> tuple[list[int], list[tuple[int, int]]]:
     """Successor masks, ``fixed`` moves held, and (u, mask of priorities <= p(u)) per odd u."""
-    succ, below, at = [], {}, 0
+    succ, odd, below = [], [], (1 << g.n) - 1
     for v, ws in enumerate(g.successors):
         m = 0
         for w in (fixed[v],) if v in fixed else ws:
             m |= 1 << w
         succ.append(m)
-    for v in sorted(g.vertices(), key=g.priority.__getitem__):
-        at = below[g.priority[v]] = at | 1 << v
-    return succ, [(u, below[p]) for u, p in enumerate(g.priority) if p & 1]
+    for p, bucket in g.priority_buckets():  # highest first: below drops each bucket after it
+        if p & 1:
+            odd += [(u, below) for u in bucket]
+        for v in bucket:
+            below ^= 1 << v
+    return succ, odd
 
 
 def _adam_wins(g: ParityGame, succ: list[int], odd: list[tuple[int, int]]) -> int:

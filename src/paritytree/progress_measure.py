@@ -27,17 +27,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .game_core import ADAM, EVE, ParityGame, Region, require_valid
-from .universal_tree import (
-    TOP,
-    LeafCode,
-    OrderedTree,
-    block_bounds,
-    code_to_rank,
-    compare_leaves_at,
-    leaf_count,
-    lift_slots,
-    rank_to_code,
-)
+from .universal_tree import (TOP, LeafCode, OrderedTree, block_bounds, code_to_rank,
+                             compare_leaves_at, leaf_count, lift_slots, rank_to_code)
 
 MeasureValue = LeafCode | str  # a leaf code or TOP
 

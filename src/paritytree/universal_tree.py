@@ -1,7 +1,7 @@
-"""Ordered trees of fixed height with leaf codes and per-priority orders,
-the naive and succinct universal-tree constructions, tree embedding,
-universality checking (a composition proof, then brute force), and
-minimal-universal-tree search.  The interned roots and the enumerated
+"""Ordered trees of fixed height: leaf codes, their ranks and text form,
+per-priority orders, the naive and succinct universal-tree constructions,
+embedding, universality checking (a composition proof, then brute force)
+and minimal-universal-tree search.  The interned roots and the enumerated
 trees outlive a call, each in a size-limited BudgetedCache.
 
 Leaf codes index children from the RIGHT (index 0 = rightmost child,
@@ -337,20 +337,30 @@ def code_to_rank(t: OrderedTree, code: LeafCode | str) -> int:
     raise ValueError(f"invalid leaf code {code} for this tree")
 
 
-def rank_to_code(t: OrderedTree, rank: int) -> LeafCode | str:
-    """Inverse of code_to_rank: the leaf code at a rank, or TOP for
-    rank leaf_count(t)."""
-    if rank == leaf_count(t):
-        return TOP
-    if not 0 <= rank < leaf_count(t):
-        raise ValueError(f"rank {rank} outside [0, {leaf_count(t)}]")
-    node, code = t, []
+def _rank_walk(t: OrderedTree, rank: int) -> tuple[list[int], list[int], LeafCode | str]:
+    """The one descent from the root to the leaf at a rank, over each
+    node's cumulative counts: the starts s_0..s_h and ends e_0..e_h of the
+    blocks holding it, and its code (TOP's blocks: see block_bounds)."""
+    size = leaf_count(t)
+    if rank == size:
+        return [size] * (t.height + 1), [size] * (t.height + 1), TOP
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} outside [0, {size}]")
+    starts, ends, code, node, base = [0], [size], [], t, 0
     for _ in range(t.height):
-        idx = bisect_right(node.cumulative, rank) - 1
-        rank -= node.cumulative[idx]
+        cum = node.cumulative
+        idx = bisect_right(cum, rank - base) - 1
+        ends.append(base + cum[idx + 1])
+        base += cum[idx]
+        starts.append(base)
         code.append(idx)
         node = node.children[-1 - idx]
-    return tuple(code)
+    return starts, ends, tuple(code)
+
+
+def rank_to_code(t: OrderedTree, rank: int) -> LeafCode | str:
+    """Inverse of code_to_rank: the leaf code at a rank, TOP at leaf_count(t)."""
+    return _rank_walk(t, rank)[2]
 
 
 def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
@@ -358,20 +368,7 @@ def block_bounds(t: OrderedTree, rank: int) -> tuple[int, ...]:
     e_h)``, where the leaves sharing the first k code entries with it are
     ranks s_k to e_k - 1.  TOP (rank leaf_count(t)) gets leaf_count(t)
     everywhere, so it stays above every leaf."""
-    size, h = leaf_count(t), t.height
-    if rank == size:
-        return (size,) * (2 * h + 2)
-    if not 0 <= rank < size:
-        raise ValueError(f"rank {rank} outside [0, {size}]")
-    starts, ends = [0], [size]
-    node, base = t, 0
-    for _ in range(h):
-        cum = node.cumulative
-        idx = bisect_right(cum, rank - base) - 1
-        ends.append(base + cum[idx + 1])
-        base += cum[idx]
-        starts.append(base)
-        node = node.children[-1 - idx]
+    starts, ends, _ = _rank_walk(t, rank)
     return (*starts, *ends)
 
 
@@ -648,6 +645,26 @@ def code_text(code: LeafCode | str) -> str:
 def dump_leaf_codes(t: OrderedTree) -> str:
     """One line per leaf, its code_text, in leaf order."""
     return "".join(code_text(code) + "\n" for code in leaf_codes(t))
+
+
+def tree_from_text(text: str, h: int, source: str) -> OrderedTree:
+    """The height-h tree of a text that dump_leaf_codes writes: one code
+    per line, its indices comma-separated decimal digits only (no sign, no
+    underscore), blank lines skipped.  A malformed line is a ValueError
+    naming ``source`` and the line; the codes go to tree_from_leaf_codes."""
+    codes = []
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
+        if not line:
+            continue
+        entries = [x.strip() for x in line.split(",")]
+        try:
+            if not all(map(str.isdecimal, entries)):
+                raise ValueError
+            codes.append(tuple(map(int, entries)))
+        except ValueError:  # int() also refuses past the digit limit
+            raise ValueError(f"{source}:{lineno}: malformed leaf code {line!r}, "
+                             "expected comma-separated integers") from None
+    return tree_from_leaf_codes(codes, h)
 
 
 def tree_from_leaf_codes(codes: list[LeafCode], h: int) -> OrderedTree:

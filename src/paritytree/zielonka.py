@@ -8,13 +8,14 @@ priority-p vertices; the rest is solved first.  If the opponent wins
 nothing there, the player wins all of V; otherwise the opponent's part is
 attracted to and removed, and the loop goes on with what is left.  The
 recursion is a loop over an explicit stack, and the top priority comes
-from the game's priority buckets, not from a scan of V.  Each attractor
-is O(m): ``ParityGame.predecessors`` is built once per game and every
-opponent vertex counts its successors still outside the attractor.
+from the game's priority index (``ParityGame.priority_buckets``), not
+from a scan of V.  Each attractor is O(m): the game's predecessor lists
+are built once and every opponent vertex counts its successors still
+outside the attractor.
 Eve's positional strategy comes from the same pass: attractor witnesses,
 any successor inside V at her top-priority vertices, and the sub-results.
-The recursion runs once per game: its region, strategy and buckets are
-kept in the game's instance dict, and every function here reads them.
+The recursion runs once per game: its region and strategy are kept in
+the game's instance dict, and every function here reads them.
 
 The classical signature is read off that strategy: once Eve's moves are
 fixed, each of its components is a longest-path count in the graph her
@@ -64,22 +65,6 @@ def attractor(g: ParityGame, arena: Vertices, target: Vertices, player: int,
     return attr
 
 
-def _priority_buckets(g: ParityGame) -> list[tuple[int, set[int]]]:
-    """(p, the priority-p vertices) for each priority the game holds,
-    highest first; built once per game, shared, not to be modified."""
-    buckets = g.__dict__.get("_priority_buckets")
-    if buckets is None:
-        by_priority: dict[int, set[int]] = {}
-        for v, p in enumerate(g.priority):
-            bucket = by_priority.get(p)
-            if bucket is None:
-                by_priority[p] = {v}
-            else:
-                bucket.add(v)
-        buckets = g.__dict__["_priority_buckets"] = sorted(by_priority.items(), reverse=True)
-    return buckets
-
-
 def _solve(g: ParityGame, V: Vertices, sigma: dict[int, int]) -> set[int]:
     """Eve's winning vertices of the subgame V.  Her strategy is written to
     ``sigma``: the last entry written for each of her winning vertices is
@@ -87,7 +72,7 @@ def _solve(g: ParityGame, V: Vertices, sigma: dict[int, int]) -> set[int]:
     top, rest) waits for Eve's part of ``rest``, which lacks V's top
     priority, bucket i; an empty V ends a frame, returning ``won``."""
     owner, succs = g.owner, g.successors
-    buckets = _priority_buckets(g)
+    buckets = g.priority_buckets()
     stack: list[tuple[Vertices, set[int], int, set[int], set[int]]] = []
     won: set[int] = set()
     i = 0
@@ -176,7 +161,7 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     at most |V_p & E| < n, as E holds an even cycle's top.  So mu(v) is a
     leaf code of make_naive_tree(n, d // 2) whose entry level(d, p) - 1,
     the last entry p's order reads, is the component for odd p.  Each odd
-    priority that E holds, read off the game's priority buckets, gets one
+    priority that E holds, read off the game's priority index, gets one
     fifo worklist relaxation over the game's predecessor lists,
     skipping the edges that graph drops; every other component is 0.  A
     vertex gets a row of components only when some count reaches it, and
@@ -190,7 +175,7 @@ def extract_signature(g: ParityGame) -> dict[int, LeafCode | str]:
     eve = region.eve_wins
     priority, preds = g.priority, g.predecessors()
     rows: dict[int, list[int]] = {}  # components of each vertex some count reaches
-    for p, bucket in _priority_buckets(g):
+    for p, bucket in g.priority_buckets():
         if p % 2 == 0 or eve.isdisjoint(bucket):
             continue
         top = eve.intersection(bucket)

@@ -100,6 +100,13 @@ class TestRecurrences:
         with pytest.raises(ValueError):
             g_recurrence(0, 2)
 
+    @pytest.mark.parametrize("closed", [f_upper_closed, g_lower_closed])
+    @pytest.mark.parametrize("n, h", [(0, 2), (-1, 1), (2, 0)])
+    def test_closed_form_domain_errors(self, closed, n, h):
+        with pytest.raises(ValueError) as info:
+            closed(n, h)
+        assert str(info.value) == f"need n >= 1 and h >= 1, got ({n}, {h})"
+
 
 class TestRecurrenceCaches:
     def test_bounded_and_exact(self):

@@ -168,6 +168,13 @@ class TestSolve:
         assert err.startswith(f"error: {tree_file}:2: ")
         assert err.count("\n") == 1
 
+    def test_unknown_tree_spec(self, game_file, capsys):
+        assert main(["solve", "-i", game_file, "--tree", "bogus"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown tree spec 'bogus' "
+                                "(use naive, succinct, or file:PATH)\n")
+
     def test_missing_file_tree(self, game_file, tmp_path, capsys):
         assert main(["solve", "-i", game_file,
                      "--tree", f"file:{tmp_path / 'none.txt'}"]) == EXIT_INPUT
@@ -578,3 +585,33 @@ class TestExitCodes:
         assert run("solve", "-i", str(game), "--cross-check",
                    "--tree", f"file:{tree}") == EXIT_DISAGREE == 2
         assert run("--help") == EXIT_OK == 0
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args, code, err", [
+        (["solve"], EXIT_OK, ""),
+        (["solve", "--cross-check"], EXIT_OK, ""),
+        (["solve", "--cross-check", "--tree", "file:TREE"], EXIT_DISAGREE,
+         "warning: tree loaded from file; universality not guaranteed, the computed region "
+         "may under-approximate Eve's\ncross-check: DISAGREEMENT, offending game follows\n"
+         + GAME),
+        (["--help"], EXIT_OK, ""),
+    ], ids=["solve", "agreement", "disagreement", "help"])
+    def test_closed_stdout_ends_quietly(self, tmp_path, unbuffered, args, code, err):
+        # a reader that quits early, as grep -q does, closes the pipe; here it
+        # is closed before the first write, so every write to stdout fails
+        game, tree = tmp_path / "game.pg", tmp_path / "tiny.txt"
+        game.write_text(GAME)
+        tree.write_text("0\n")  # a single leaf is not (2,1)-universal
+        args = [a.replace("TREE", str(tree)) for a in args]
+        if args[0] == "solve":
+            args[1:1] = ["-i", str(game)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "paritytree.cli", *args], stdout=write,
+                                 stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (code, err)

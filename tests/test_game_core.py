@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from paritytree import game_core
 from paritytree.game_core import (
     ADAM,
     EVE,
@@ -64,6 +65,17 @@ class TestValidate:
     def test_mismatched_tables(self):
         g = ParityGame(2, (0, 1), (0,), ((1,), (0,)))
         assert any("priority table" in v for v in validate_game(g))
+
+    @pytest.mark.parametrize("priority, successors, names, found", [
+        ((0,), ((1,), (0,)), None, "priority table has 1 entries for 2 vertices"),
+        ((0, 1), ((1,),), None, "successor table has 1 entries for 2 vertices"),
+        ((0, 1), ((1,), (0,)), ("a",), "name table has 1 entries for 2 vertices"),
+        ((0, 1), ((1,), (0,)), (), "name table has 0 entries for 2 vertices"),
+        ((0, 1), ((1,), (0,)), ("a", None), None),
+    ], ids=["priority", "successor", "names-short", "names-empty", "names-ok"])
+    def test_table_lengths(self, priority, successors, names, found):
+        g = ParityGame(2, (0, 1), priority, successors, names)
+        assert validate_game(g) == ([found] if found else [])
 
 
 class TestEvenPriorityBound:
@@ -182,6 +194,21 @@ class TestParse:
         assert peak / n < 300
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text[:-2] + "\t;\n",  # a tab in the last line
+        lambda text: text[:-1],  # no final newline
+    ], ids=["tab-in-last-line", "no-final-newline"])
+    def test_text_failing_in_its_last_block_is_never_decoded(self, monkeypatch, edit):
+        # every block is checked before any is decoded, so a text that leaves
+        # the canonical form only at its end goes to the scan at once
+        g = generate_random_game(20_000, 20, (1, 3), seed=12)
+        text = edit(write_pgsolver(g))
+        assert len(text) > 2 * game_core._BLOCK
+        loads, decode = [], game_core.json.loads
+        monkeypatch.setattr(game_core.json, "loads", lambda s: loads.append(s) or decode(s))
+        assert parse_pgsolver(text) == g
+        assert loads == []
+
 class TestWrite:
     def test_canonical_form(self):
         assert write_pgsolver(SIMPLE) == "parity 1;\n0 2 0 1;\n1 1 1 0,1;\n"
@@ -266,6 +293,19 @@ class TestPredecessors:
         preds = g.predecessors()
         assert preds == [[1, 3], [0, 1], [2], [0, 1, 2]]
         assert g.predecessors() is preds
+
+
+class TestPriorityBuckets:
+    def test_index_highest_first(self):
+        g = make(4, [0, 1, 0, 1, 0], [2, 0, 2, 3, 0], [(1,), (2,), (3,), (4,), (0,)])
+        assert g.priority_buckets() == [(3, {3}), (2, {0, 2}), (0, {1, 4})]
+
+    def test_built_once_per_game(self):
+        g = generate_random_game(30, 8, (1, 2), seed=5)
+        buckets = g.priority_buckets()
+        assert all(g.priority_buckets() is buckets for _ in range(3))
+        assert solve_zielonka(g) == solve_bruteforce(g)  # both solvers read it
+        assert g.priority_buckets() is buckets
 
 
 class TestPreparedGame:

@@ -26,6 +26,7 @@ from paritytree.progress_measure import (
 )
 from paritytree.universal_tree import (
     TOP,
+    OrderedTree,
     block_bounds,
     code_to_rank,
     leaf_codes,
@@ -112,6 +113,14 @@ class TestLiftLaws:
 
 
 class TestValueIteration:
+    def test_empty_tree_refused(self):
+        # the succinct tree for n = 0 has no leaves, so no measure can start
+        g = make(2, [EVE], [0], [(0,)])
+        for tree in (OrderedTree(1, ()), make_succinct_tree(0, 1)):
+            with pytest.raises(ValueError) as info:
+                value_iteration(g, tree)
+            assert str(info.value) == "the tree has no leaves"
+
     def test_matches_zielonka(self):
         for seed in range(120):
             g = generate_random_game(2 + seed % 5, 2 + 2 * (seed % 3), (1, 2), seed)

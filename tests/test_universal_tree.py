@@ -33,6 +33,7 @@ from paritytree.universal_tree import (
     rank_to_code,
     signature_to_tree,
     tree_from_leaf_codes,
+    tree_from_text,
 )
 from paritytree.zielonka import extract_signature
 from signature_reference import reference_signature_to_tree, tuple_compare
@@ -74,6 +75,15 @@ class TestShape:
     def test_naive_cap(self):
         with pytest.raises(EnumerationGuardError):
             make_naive_tree(100, 4)
+
+    @pytest.mark.parametrize("make, n, h, least", [
+        (make_naive_tree, 0, 2, 1), (make_naive_tree, 2, 0, 1),
+        (make_succinct_tree, -1, 2, 0), (make_succinct_tree, 2, 0, 0),
+    ], ids=["naive-n", "naive-h", "succinct-n", "succinct-h"])
+    def test_builders_refuse_a_bad_size(self, make, n, h, least):
+        with pytest.raises(ValueError) as info:
+            make(n, h)
+        assert str(info.value) == f"need n >= {least} and h >= 1, got ({n}, {h})"
 
     def test_naive_cap_message_is_short(self):
         # the guard stops multiplying at the cap, so no 675-digit n^h
@@ -396,10 +406,16 @@ class TestLeafCodes:
 
     def test_round_trip_through_dump(self):
         for t in (make_succinct_tree(6, 2), make_naive_tree(3, 3)):
-            text = dump_leaf_codes(t)
-            codes = [tuple(int(x) for x in line.split(","))
-                     for line in text.splitlines()]
-            assert tree_from_leaf_codes(codes, t.height) == t
+            assert tree_from_text(dump_leaf_codes(t), t.height, "dump") == t
+
+    def test_text_reader_names_source_and_line(self):
+        # blank lines are skipped but counted; the offending line is shown stripped
+        assert tree_from_text("\n 1 , 0 \n\n0,0\n", 2, "x") == tree_from_leaf_codes(
+            [(1, 0), (0, 0)], 2)
+        with pytest.raises(ValueError) as info:
+            tree_from_text("0,0\n\n 1,x \n", 2, "codes.txt")
+        assert str(info.value) == ("codes.txt:3: malformed leaf code '1,x', "
+                                   "expected comma-separated integers")
 
     def test_tree_from_codes_rejects_gaps(self):
         with pytest.raises(ValueError):
